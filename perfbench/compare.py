@@ -7,9 +7,8 @@ Save each run's standard output, then::
 prints, per metric, the median over each side's runs and the change
 relative to the base, marking changes worse than the metric's bound in
 ``BENCHMARK.json``.  Results from different environment fingerprints
-are refused (exit 2) unless ``--allow-mixed-env`` is given, in which
-case every row is flagged.  Exit 1 when a gated metric got worse than
-its bound.
+are refused (exit 2).  Exit 1 when a gated metric got worse than its
+bound.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", nargs="+", required=True)
     parser.add_argument("--head", nargs="+", required=True)
-    parser.add_argument("--allow-mixed-env", action="store_true")
     args = parser.parse_args(argv)
 
     base = [load(path) for path in args.base]
@@ -63,15 +61,13 @@ def main(argv=None) -> int:
     )
     if mixed:
         print(f"fingerprints differ in: {', '.join(mixed)}")
-        if not args.allow_mixed_env:
-            print("refusing to compare results from different environments")
-            return 2
+        print("refusing to compare results from different environments")
+        return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     gated = {m["name"]: m for m in spec["end_to_end"]}
     base_m = medians([r for _, r in base])
     head_m = medians([r for _, r in head])
     regressed = False
-    flag = "  [mixed env]" if mixed else ""
     for name in sorted(set(base_m) & set(head_m)):
         before, after = base_m[name], head_m[name]
         change = (after - before) / before if before else 0.0
@@ -81,7 +77,7 @@ def main(argv=None) -> int:
             if worse > gated[name]["bound"]:
                 verdict = "  WORSE than bound"
                 regressed = True
-        print(f"{name:<36} {before:>14.4f} {after:>14.4f} {change:+8.1%}{verdict}{flag}")
+        print(f"{name:<36} {before:>14.4f} {after:>14.4f} {change:+8.1%}{verdict}")
     return 1 if regressed else 0
 
 

@@ -6,7 +6,6 @@ import gc
 import json
 import os
 import resource
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.tensor import get_default_dtype
@@ -34,10 +33,10 @@ END_TO_END = (
 #: run, as they cannot hold a bound relative to a median:
 #: ``convert_s`` is one ~4 s conversion on the observed workload (3.1 to
 #: 4.9 s over five runs of identical work); ``snn_batch_tail_ms`` is at
-#: most p58 with 24 batches per run, and on the sweep falls where the
-#: batches of two time steps meet; ``sgl_train_sps`` is zero on the
-#: sweep, ``obs_bytes`` outside the observed workload, and
-#: ``ops_failed_frac`` whenever the run is correct.
+#: most p58 with the 24 T=2 batches of the observed workload, and
+#: p37.5 with the sweep's 16 T=16 batches; ``sgl_train_sps`` is zero on the sweep,
+#: ``obs_bytes`` outside the observed workload, and ``ops_failed_frac``
+#: whenever the run is correct.
 UNGATED = (
     ("convert_s", "s"),
     ("snn_batch_tail_ms", "ms"),
@@ -47,9 +46,10 @@ UNGATED = (
 )
 
 #: Self time of every span account, as per-layer metric -> account.
-#: These partition the traced window: with ``gap_s`` they sum to
-#: ``trace.window_s``.  Leaf accounts (no traced callees) keep the plain
-#: ``_s`` name; accounts with traced callees report self time as
+#: These partition the traced time: with ``gap_s`` they sum to the
+#: traced pass's own timing of its setup and unit (``trace.window_s``
+#: is the tracer's reading of the same blocks).  Leaf accounts (no
+#: traced callees) keep the plain ``_s`` name; accounts with traced callees report self time as
 #: ``_self_s`` (``conversion.build_s`` is the self time of
 #: ``convert_dnn_to_snn``: building specs and the spiking twin).
 PARTITION = {
@@ -126,47 +126,26 @@ PER_LAYER = (
 # Passes
 # ----------------------------------------------------------------------
 class Pass:
-    """One setup plus timed units of a workload, optionally traced."""
+    """Setup plus one timed unit of a workload, optionally traced.
 
-    def __init__(self, workload, seconds: float, repeats: int, tracer=None, trained=None) -> None:
+    One unit outlasts the benchmark's ``run_seconds``, so a pass times
+    exactly one.
+    """
+
+    def __init__(self, workload, repeats: int, tracer=None, trained=None) -> None:
         self.workload = workload
-        self.record = workloads.Record()
+        self.record = workloads.Record(tracer=tracer)
         self.tracer = tracer
-        self.outcomes: List[workloads.Outcome] = []
-        self.checks: Dict[str, bool] = {}
-        self._run(seconds, repeats, trained)
-
-    def _run(self, seconds: float, repeats: int, trained) -> None:
-        tracer = self.tracer
         if tracer is not None:
             spans.instrument(tracer)
-            tracer.start()
         try:
-            prepared = self.prepared = self.workload.setup(self.record, repeats, trained)
-            states = []
-            deadline = time.perf_counter() + seconds
-            while not states or time.perf_counter() < deadline:
-                states.append(self.workload.unit(prepared, self.record))
+            self.prepared = workload.setup(self.record, repeats, trained)
+            state = workload.unit(self.prepared, self.record)
         finally:
             if tracer is not None:
-                tracer.stop()
                 tracer.restore()
-        for state in states:
-            checks = self.workload.checks(prepared, state)
-            if not self.checks:
-                self.checks = checks
-            else:
-                self.checks = {k: v and checks[k] for k, v in self.checks.items()}
-            self.outcomes.append(state[0])
-        first = self.outcomes[0].key()
-        if len(self.outcomes) > 1:
-            self.checks["same-seed units agree"] = all(
-                outcome.key() == first for outcome in self.outcomes[1:]
-            )
-
-    @property
-    def outcome(self) -> workloads.Outcome:
-        return self.outcomes[0]
+        self.checks: Dict[str, bool] = workload.checks(self.prepared, state)
+        self.outcome: workloads.Outcome = state[0]
 
     def operations(self) -> int:
         """Train steps, eval batches and conversions this pass ran."""
@@ -182,10 +161,10 @@ def _ratio(numerator: float, denominator: float) -> float:
 
 
 def _tail(record: workloads.Record) -> Tuple[float, float, int]:
-    """``(percentile, ms, count)`` of the eval-batch tail, zeros if too few."""
-    if len(record.eval_batch_s) <= stats.TAIL_BEYOND:
-        return 0.0, 0.0, len(record.eval_batch_s)
-    percentile, value, count = stats.tail(record.eval_batch_s)
+    """``(percentile, ms, count)`` of the latency batches' tail, zeros if too few."""
+    if len(record.latency_batch_s) <= stats.TAIL_BEYOND:
+        return 0.0, 0.0, len(record.latency_batch_s)
+    percentile, value, count = stats.tail(record.latency_batch_s)
     return percentile, 1e3 * value, count
 
 
@@ -194,7 +173,7 @@ def _ungated(record: workloads.Record) -> Dict[str, float]:
         "convert_s": stats.median(record.convert_s),
         "snn_batch_tail_ms": _tail(record)[1],
         "sgl_train_sps": _ratio(record.sgl_samples, record.sgl_seconds),
-        "obs_bytes": record.obs_bytes / len(record.unit_s),
+        "obs_bytes": record.obs_bytes,
     }
 
 
@@ -203,18 +182,21 @@ def end_to_end(run: Pass) -> Tuple[Dict[str, float], str]:
     record, outcome = run.record, run.outcome
     percentile, _, count = _tail(record)
     values = {
-        "setup_s": stats.median(record.prepare_s) + record.setup_train_s,
-        "total_s": stats.median(record.unit_s),
+        "setup_s": stats.median(record.prepare_s) + sum(record.setup_train_s),
+        "total_s": record.unit_s[0],
         "dnn_train_sps": _ratio(record.dnn_samples, record.dnn_seconds),
         "snn_eval_sps": _ratio(record.eval_samples, sum(record.eval_batch_s)),
-        "snn_batch_p50_ms": 1e3 * stats.median(record.eval_batch_s),
+        "snn_batch_p50_ms": 1e3 * stats.median(record.latency_batch_s),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "dnn_acc": 100.0 * outcome.dnn_acc,
         "conversion_acc": 100.0 * outcome.conversion_acc,
         "snn_acc": 100.0 * outcome.snn_acc,
         **_ungated(record),
     }
-    note = f"snn_batch_tail_ms is p{percentile:.1f} of {count} eval batches"
+    note = (
+        f"snn_batch_p50_ms and snn_batch_tail_ms (p{percentile:.1f}) are of {count} "
+        f"eval batches at T={run.workload.latency_timesteps}"
+    )
     return values, note
 
 
@@ -248,10 +230,13 @@ def per_layer(untraced: Pass, traced: Pass) -> Dict[str, float]:
     return values
 
 
-def closure_holds(tracer) -> bool:
-    """Every account is reported and the partition sums to the window."""
+def closure_holds(traced: Pass) -> bool:
+    """Every account is reported, every span exit matched its entry, and
+    self times plus the gap sum to the pass's own timing of the traced
+    blocks (its setup and unit)."""
+    tracer = traced.tracer
     reported = set(PARTITION.values())
-    return set(tracer.self_s) <= reported and tracer.closure_holds()
+    return set(tracer.self_s) <= reported and tracer.closure_holds(traced.record.timed_s())
 
 
 # ----------------------------------------------------------------------
@@ -263,17 +248,17 @@ def _tree(path: str) -> Optional[List[str]]:
     return sorted(os.path.join(folder, name) for folder, _d, files in os.walk(path) for name in files)
 
 
-def run(name: str, seed: int, seconds: float, trace: bool) -> int:
+def run(name: str, seed: int, trace: bool) -> int:
     if name not in workloads.WORKLOADS:
         raise SystemExit(f"unknown workload '{name}'; choose from {sorted(workloads.WORKLOADS)}")
     workload_cls = workloads.WORKLOADS[name]
     guarded = {path: _tree(path) for path in ("results", "runs", workloads.TMP_ROOT)}
 
     if trace:
-        untraced = Pass(workload_cls(seed), 0.0, repeats=1)
+        untraced = Pass(workload_cls(seed), repeats=1)
         gc.collect()
         traced = Pass(
-            workload_cls(seed), 0.0, repeats=1, tracer=spans.Tracer(), trained=untraced.prepared
+            workload_cls(seed), repeats=1, tracer=spans.Tracer(), trained=untraced.prepared
         )
         passes = [untraced, traced]
         checks = {f"untraced: {k}": v for k, v in untraced.checks.items()}
@@ -281,9 +266,9 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> int:
         checks["traced outputs equal untraced"] = (
             traced.outcome.key() == untraced.outcome.key()
         )
-        checks["self times + gap_s = traced window"] = closure_holds(traced.tracer)
+        checks["self times + gap_s = traced setup + total_s"] = closure_holds(traced)
     else:
-        untraced = Pass(workload_cls(seed), seconds, repeats=workloads.SETUP_REPEATS)
+        untraced = Pass(workload_cls(seed), repeats=workloads.SETUP_REPEATS)
         passes = [untraced]
         checks = dict(untraced.checks)
     checks["no files left in results/, runs/ or scratch"] = all(
@@ -316,7 +301,7 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> int:
             "snn_epochs": scale.snn_epochs,
         },
     )
-    print(f"workload {name} seed {seed} trace {int(trace)} units {len(untraced.record.unit_s)}")
+    print(f"workload {name} seed {seed} trace {int(trace)}")
     print("fingerprint " + json.dumps(env, sort_keys=True))
     gated = dict(END_TO_END)
     for metric, unit in END_TO_END + UNGATED:

@@ -2,13 +2,15 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload table1-vgg16-t2 --seed 0 \\
+    python3 perfbench/run.py --workload fig2-sweep-resnet20 --seed 0 \\
         --seconds 10 --trace 0
 
-``--trace 0`` sets up ``SETUP_REPEATS`` times, then repeats the timed
-unit until ``--seconds`` have passed (at least once), and reports the
-end-to-end metrics of ``BENCHMARK.json``.  ``--trace 1`` runs the unit
-twice with the same seed, untraced and then traced, and reports the
+``--trace 0`` sets up ``SETUP_REPEATS`` times, then times one unit of
+the workload, and reports the end-to-end metrics of ``BENCHMARK.json``.
+A unit takes 35 to 60 s on a 2-CPU host, longer than the
+``run_seconds`` of ``BENCHMARK.json``, so ``--seconds`` changes nothing.
+``--trace 1`` runs the unit twice with the same seed, untraced and then
+traced, checks that both compute the same outputs, and reports the
 per-layer metrics: self time per layer account, inclusive time of the
 stages, per-call medians, counts, the tracing overhead, and the
 quantities that are zero on some workload (so cannot be bounded
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
         return 2
     from perfbench import harness
 
-    return harness.run(args.workload, args.seed, args.seconds, bool(args.trace))
+    return harness.run(args.workload, args.seed, bool(args.trace))
 
 
 if __name__ == "__main__":

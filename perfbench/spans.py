@@ -4,9 +4,10 @@
 functions wherever they were imported, and methods on their classes) so
 that each call opens a span.  A span's *self time* is its duration minus
 the time covered by the spans it caused; self times are summed per
-account (one account per layer entry point).  Time inside the traced
-window that no span covers is the gap.  Spans stay in memory; nothing
-is written while the benchmark runs.
+account (one account per layer entry point).  Spans count only inside
+traced windows, which the workload opens exactly around the blocks it
+times itself; time inside a window that no span covers is the gap.
+Spans stay in memory; nothing is written while the benchmark runs.
 
 Methods are patched on the class, never on instances: the SNN's fused
 engine falls back to step-by-step replay for any module whose
@@ -24,7 +25,9 @@ from collections import defaultdict
 from typing import Callable, Dict, List, Optional
 
 #: Closure tolerance: per-layer self times plus the gap must equal the
-#: traced window's wall time within this absolute + relative slack.
+#: workload's own timing of the traced blocks within this absolute +
+#: relative slack (each window opens a few microseconds before the
+#: workload's timer starts and closes just after it stops).
 CLOSURE_ABS_S = 1e-3
 CLOSURE_REL = 1e-3
 
@@ -47,18 +50,22 @@ class Tracer:
         self._patches: List[tuple] = []
         self._window_start: Optional[float] = None
         self._idle_since: Optional[float] = None
-        # Bound methods captured while patched (LSUV stores each layer's
-        # ``forward`` on the instance) outlive restore(); their spans are
-        # ignored once the window closes.
+        # Spans count only inside a window.  Bound methods captured while
+        # patched (LSUV stores each layer's ``forward`` on the instance)
+        # outlive restore(); their spans are ignored once windows close.
         self._active = False
         self.window_s = 0.0
         self.gap_s = 0.0
+        # Exits that did not match the innermost open span.
+        self.mismatches = 0
 
     # ------------------------------------------------------------------
-    # Window and spans
+    # Windows and spans
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Open the traced window; time outside spans counts as gap."""
+        """Open a traced window; time in it outside spans counts as gap."""
+        if self._active:
+            raise RuntimeError("a traced window is already open")
         now = self.clock()
         self._window_start = now
         self._idle_since = now
@@ -71,7 +78,7 @@ class Tracer:
             raise RuntimeError(f"spans still open at stop: {open_spans}")
         now = self.clock()
         self.gap_s += now - self._idle_since
-        self.window_s = now - self._window_start
+        self.window_s += now - self._window_start
         self._window_start = self._idle_since = None
         self._active = False
 
@@ -79,15 +86,19 @@ class Tracer:
         if not self._active:
             return
         now = self.clock()
-        if not self._stack and self._idle_since is not None:
+        if not self._stack:
             self.gap_s += now - self._idle_since
         self._stack.append([account, now, 0.0])
         self._depth[account] += 1
 
-    def exit(self, series: Optional[str] = None) -> float:
+    def exit(self, account: str, series: Optional[str] = None) -> float:
+        """End the innermost span, which must belong to ``account``."""
         if not self._active:
             return 0.0
-        account, start, covered = self._stack.pop()
+        if not self._stack or self._stack[-1][0] != account:
+            self.mismatches += 1
+            return 0.0
+        _, start, covered = self._stack.pop()
         now = self.clock()
         duration = now - start
         self.self_s[account] += duration - covered
@@ -99,7 +110,7 @@ class Tracer:
             self.samples[series].append(duration)
         if self._stack:
             self._stack[-1][2] += duration
-        elif self._idle_since is not None:
+        else:
             self._idle_since = now
         return duration
 
@@ -109,18 +120,23 @@ class Tracer:
         try:
             yield
         finally:
-            self.exit(series)
+            self.exit(account, series)
 
     def parent(self) -> Optional[str]:
         """Account of the innermost open span."""
         return self._stack[-1][0] if self._stack else None
 
-    def closure_error_s(self) -> float:
-        """``|sum(self times) + gap - window|`` of the closed window."""
-        return abs(sum(self.self_s.values()) + self.gap_s - self.window_s)
+    def closure_error_s(self, measured_s: float) -> float:
+        """``|sum(self times) + gap - measured_s|`` once windows are closed.
 
-    def closure_holds(self) -> bool:
-        return self.closure_error_s() <= CLOSURE_ABS_S + CLOSURE_REL * self.window_s
+        ``measured_s`` is the workload's own timing of the traced blocks.
+        """
+        return abs(sum(self.self_s.values()) + self.gap_s - measured_s)
+
+    def closure_holds(self, measured_s: float) -> bool:
+        """Every exit matched its span and the accounts sum to ``measured_s``."""
+        slack = CLOSURE_ABS_S + CLOSURE_REL * measured_s
+        return self.mismatches == 0 and self.closure_error_s(measured_s) <= slack
 
     # ------------------------------------------------------------------
     # Wrapping
@@ -140,11 +156,12 @@ class Tracer:
             previous_stage = self.stage
             if stage is not None:
                 self.stage = stage
-            self.enter(account(args) if callable(account) else account)
+            entered = account(args) if callable(account) else account
+            self.enter(entered)
             try:
                 result = func(*args, **kwargs)
             finally:
-                self.exit(name)
+                self.exit(entered, name)
                 self.stage = previous_stage
             if after is not None:
                 after(args, result)
@@ -188,7 +205,7 @@ class Tracer:
                 except StopIteration:
                     return
                 finally:
-                    tracer.exit()
+                    tracer.exit(account)
                 yield item
 
         setattr(cls, "__iter__", __iter__)

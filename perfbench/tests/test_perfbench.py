@@ -31,6 +31,7 @@ class TinyObserved(workloads.Table1Observed):
 class TinySweep(workloads.Fig2Sweep):
     scale = TINY
     timesteps = (2,)
+    latency_timesteps = 2
 
 
 @pytest.fixture(autouse=True)
@@ -113,27 +114,47 @@ def test_self_time_arithmetic_on_synthetic_spans():
     at(0, tracer.start)
     at(1, tracer.enter, "a")
     at(2, tracer.enter, "b")
-    at(5, tracer.exit, "b.calls")
+    at(5, tracer.exit, "b", "b.calls")
     at(6, tracer.enter, "c")
-    at(7, tracer.exit)
-    at(10, tracer.exit)
+    at(7, tracer.exit, "c")
+    at(10, tracer.exit, "a")
     at(12, tracer.enter, "a")
     at(13, tracer.enter, "a")  # recursion: counted once in inclusive time
-    at(14, tracer.exit)
-    at(15, tracer.exit)
+    at(14, tracer.exit, "a")
+    at(15, tracer.exit, "a")
     at(20, tracer.stop)
+    at(21, tracer.enter, "between")  # spans outside a window are ignored
+    at(22, tracer.exit, "between")
+    at(30, tracer.start)  # a second window adds to the first
+    at(31, tracer.enter, "c")
+    at(33, tracer.exit, "c")
+    at(34, tracer.stop)
 
-    assert dict(tracer.self_s) == {"a": 5 + 2 + 1, "b": 3, "c": 1}
-    assert dict(tracer.inclusive_s) == {"a": 9 + 3, "b": 3, "c": 1}
-    assert tracer.gap_s == 1 + 2 + 5
-    assert tracer.window_s == 20
+    assert dict(tracer.self_s) == {"a": 5 + 2 + 1, "b": 3, "c": 1 + 2}
+    assert dict(tracer.inclusive_s) == {"a": 9 + 3, "b": 3, "c": 1 + 2}
+    assert tracer.gap_s == 1 + 2 + 5 + 1 + 1
+    assert tracer.window_s == 20 + 4
     assert tracer.samples["b.calls"] == [3]
-    assert tracer.closure_error_s() == 0
-    assert tracer.closure_holds()
+    # Against the workload's own timing of the two windows' blocks.
+    assert tracer.closure_error_s(24) == 0
+    assert tracer.closure_holds(24)
+    assert not tracer.closure_holds(23)  # a second unaccounted for
 
-    at(21, tracer.enter, "late")  # spans after stop are ignored
-    at(22, tracer.exit)
-    assert "late" not in tracer.self_s
+
+def test_mismatched_exit_fails_closure():
+    clock = FakeClock()
+    tracer = spans.Tracer(clock=clock)
+    tracer.start()
+    tracer.enter("a")
+    tracer.enter("b")
+    clock.now = 2.0
+    tracer.exit("a")  # "b" is innermost: the exit is refused and counted
+    tracer.exit("b")
+    tracer.exit("a")
+    tracer.stop()
+    assert tracer.mismatches == 1
+    assert tracer.closure_error_s(2.0) == 0
+    assert not tracer.closure_holds(2.0)
 
 
 def test_stop_refuses_open_spans():
@@ -180,6 +201,10 @@ def test_timed_batches_count_complete_passes_only():
     assert record.eval_batch_s == [] and record.eval_samples == 0
     assert sum(len(labels) for _, labels in batches) == 5
     assert len(record.eval_batch_s) == 2 and record.eval_samples == 5
+    assert record.latency_batch_s == record.eval_batch_s
+
+    list(workloads.TimedBatches([([0], [0])], record, latency=False))
+    assert len(record.eval_batch_s) == 3 and len(record.latency_batch_s) == 2
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +225,6 @@ def test_fingerprint_differences_and_refused_comparison(tmp_path):
         )
     base, head = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert compare.main(["--base", base, "--head", head]) == 2
-    assert compare.main(["--base", base, "--head", head, "--allow-mixed-env"]) == 0
     assert compare.main(["--base", base, "--head", base]) == 0
 
 
@@ -226,12 +250,13 @@ def test_stage_driver_reproduces_get_context_and_run_pipeline():
 
 
 def test_traced_pass_matches_untraced_and_closes():
-    untraced = harness.Pass(TinySweep(1), 0.0, repeats=1)
+    untraced = harness.Pass(TinySweep(1), repeats=1)
     traced = harness.Pass(
-        TinySweep(1), 0.0, repeats=1, tracer=spans.Tracer(), trained=untraced.prepared
+        TinySweep(1), repeats=1, tracer=spans.Tracer(), trained=untraced.prepared
     )
     assert traced.outcome.key() == untraced.outcome.key()
-    assert harness.closure_holds(traced.tracer)
+    assert harness.closure_holds(traced)
+    assert traced.tracer.window_s >= traced.record.timed_s()
     values = harness.per_layer(untraced, traced)
     for name in ("nn.conv2d_s", "conversion.algorithm1_s", "train.lsuv_s", "energy.activity_s"):
         assert values[name] > 0, name
@@ -244,14 +269,15 @@ def test_traced_pass_matches_untraced_and_closes():
 def test_observed_pass_is_sandboxed_and_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("REPRO_RUNS_ROOT", raising=False)
-    first = harness.Pass(TinyObserved(2), 0.0, repeats=1)
-    second = harness.Pass(TinyObserved(2), 0.0, repeats=1)
+    first = harness.Pass(TinyObserved(2), repeats=1)
+    second = harness.Pass(TinyObserved(2), repeats=1)
     assert first.outcome.key() == second.outcome.key()
     record = first.record
     assert record.obs_bytes > 0 and record.obs_records > 0
     # Post-conversion, SGL-epoch and final evals, plus the energy profile,
     # whose two-batch limit covers the whole two-batch tiny test set.
     assert len(record.convert_s) == 1 and len(record.eval_batch_s) == 4 * 2
+    assert record.latency_batch_s == record.eval_batch_s  # every eval is at T=2
     assert record.dnn_samples > 0 and record.sgl_samples > 0
     assert sorted(os.listdir(tmp_path)) == []
     assert "REPRO_RUNS_ROOT" not in os.environ

@@ -21,6 +21,7 @@ sampling.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import inspect
 import math
@@ -29,7 +30,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -64,7 +65,9 @@ TMP_ROOT = ".perfbench-tmp"
 TABLE1_SCALE = replace(
     SCALES["bench"], name="perfbench-table1", test_size=400, dnn_epochs=6, snn_epochs=1
 )
-SWEEP_SCALE = replace(SCALES["bench"], name="perfbench-sweep", dnn_epochs=10)
+#: The sweep evaluates 400 images (not the preset's 150), so its latency
+#: metrics see 16 batches.
+SWEEP_SCALE = replace(SCALES["bench"], name="perfbench-sweep", test_size=400, dnn_epochs=10)
 
 
 # ----------------------------------------------------------------------
@@ -75,12 +78,14 @@ class TimedBatches:
 
     Only passes that consume every batch count, so an evaluation over
     the whole test set is measured while a consumer that stops early
-    (a drift probe reading one batch) is not.
+    (a drift probe reading one batch) is not.  ``latency`` marks batches
+    of the latency population (see ``Workload.latency_timesteps``).
     """
 
-    def __init__(self, loader, record: "Record") -> None:
+    def __init__(self, loader, record: "Record", latency: bool = True) -> None:
         self.loader = loader
         self.record = record
+        self.latency = latency
 
     def __iter__(self):
         durations, samples = [], 0
@@ -91,14 +96,22 @@ class TimedBatches:
             samples += len(labels)
         self.record.eval_batch_s.extend(durations)
         self.record.eval_samples += samples
+        if self.latency:
+            self.record.latency_batch_s.extend(durations)
 
 
 @dataclass
 class Record:
-    """Raw measurements of one benchmark pass."""
+    """Raw measurements of one benchmark pass.
 
+    ``prepare_s``, ``setup_train_s`` and ``unit_s`` are timed by
+    :meth:`timed`, which also opens the ``tracer``'s window (if any)
+    around each of those blocks.
+    """
+
+    tracer: Optional[object] = None
     prepare_s: List[float] = field(default_factory=list)
-    setup_train_s: float = 0.0
+    setup_train_s: List[float] = field(default_factory=list)
     unit_s: List[float] = field(default_factory=list)
     convert_s: List[float] = field(default_factory=list)
     dnn_samples: int = 0
@@ -106,11 +119,27 @@ class Record:
     sgl_samples: int = 0
     sgl_seconds: float = 0.0
     eval_batch_s: List[float] = field(default_factory=list)
+    latency_batch_s: List[float] = field(default_factory=list)
     eval_samples: int = 0
     train_steps: int = 0
     obs_bytes: int = 0
     obs_files: int = 0
     obs_records: int = 0
+
+    @contextlib.contextmanager
+    def timed(self, durations: List[float]):
+        """Append the block's wall time to ``durations``, tracing it if traced."""
+        if self.tracer is not None:
+            self.tracer.start()
+        start = time.perf_counter()
+        yield
+        durations.append(time.perf_counter() - start)
+        if self.tracer is not None:
+            self.tracer.stop()
+
+    def timed_s(self) -> float:
+        """Seconds inside :meth:`timed` blocks, which tracer windows enclose."""
+        return sum(self.prepare_s) + sum(self.setup_train_s) + sum(self.unit_s)
 
     def add_training(self, kind: str, history, loader) -> None:
         epochs = len(history.epoch_seconds)
@@ -285,6 +314,9 @@ class Workload:
     arch = ""
     scale = None
     trains_in_setup = False
+    #: Time steps of the eval batches behind ``snn_batch_p50_ms`` and
+    #: ``snn_batch_tail_ms``, so each is one population of batches.
+    latency_timesteps = 2
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -322,15 +354,13 @@ class Workload:
         """
         prepared = None
         for _ in range(repeats):
-            start = time.perf_counter()
-            prepared = prepare(self.config)
-            prepared.dataset = self._draw_test_set(prepared.dataset)
-            record.prepare_s.append(time.perf_counter() - start)
+            with record.timed(record.prepare_s):
+                prepared = prepare(self.config)
+                prepared.dataset = self._draw_test_set(prepared.dataset)
         if self.trains_in_setup:
             if trained is None:
-                start = time.perf_counter()
-                train_dnn(prepared, record)
-                record.setup_train_s = time.perf_counter() - start
+                with record.timed(record.setup_train_s):
+                    train_dnn(prepared, record)
             else:
                 prepared.model.load_state_dict(trained.model.state_dict())
                 prepared.dnn_history, prepared.dnn_acc = trained.dnn_history, trained.dnn_acc
@@ -371,26 +401,34 @@ class Fig2Sweep(Workload):
     trains_in_setup = True
     timesteps = (2, 3, 5, 16)
     strategies = ("proposed", "max_activation")
+    #: The largest fused T x N batch; its 16 batches take ~8 s, against
+    #: ~1.5 s at T=2, which a few seconds of host slowdown would swamp.
+    latency_timesteps = 16
 
     def unit(self, prepared: Prepared, record: Record):
-        start = time.perf_counter()
-        test_batches = TimedBatches(prepared.plain_loader("test"), record)
         accuracies, proposed_accs, specs, snns = [], [], [], []
         spikes, spikes_per_neuron, mflops = [], [], []
-        for timesteps in self.timesteps:
+        # Strategy outermost, so the latency batches come from two evals
+        # half a unit apart.
+        with record.timed(record.unit_s):
             for strategy in self.strategies:
-                result = convert(prepared, timesteps, strategy, record)
-                accuracy = train.evaluate_snn(result.snn, test_batches)
-                accuracies.append(accuracy)
-                snns.append(result.snn)
-                if strategy == "proposed":
-                    proposed_accs.append(accuracy)
-                    specs.extend(spec_pairs(result))
-                    point = activity(prepared, result.snn)
-                    spikes.extend(point[0])
-                    spikes_per_neuron.append(point[1])
-                    mflops.append(point[2])
-        record.unit_s.append(time.perf_counter() - start)
+                for timesteps in self.timesteps:
+                    test_batches = TimedBatches(
+                        prepared.plain_loader("test"),
+                        record,
+                        latency=timesteps == self.latency_timesteps,
+                    )
+                    result = convert(prepared, timesteps, strategy, record)
+                    accuracy = train.evaluate_snn(result.snn, test_batches)
+                    accuracies.append(accuracy)
+                    snns.append(result.snn)
+                    if strategy == "proposed":
+                        proposed_accs.append(accuracy)
+                        specs.extend(spec_pairs(result))
+                        point = activity(prepared, result.snn)
+                        spikes.extend(point[0])
+                        spikes_per_neuron.append(point[1])
+                        mflops.append(point[2])
         outcome = Outcome(
             dnn_acc=prepared.dnn_acc,
             conversion_accs=accuracies,
@@ -454,7 +492,6 @@ class Table1Observed(Workload):
     scale = TABLE1_SCALE
 
     def unit(self, prepared: Prepared, record: Record):
-        prepared = replace(prepared, model=copy.deepcopy(prepared.model))
         pipeline.clear_pipeline_cache()
         os.makedirs(TMP_ROOT, exist_ok=True)
         scratch = tempfile.mkdtemp(dir=TMP_ROOT)
@@ -470,12 +507,11 @@ class Table1Observed(Workload):
 
         pipeline.convert_only = timed_convert_only
         try:
-            start = time.perf_counter()
-            with observe(os.path.join(scratch, "run"), workload=self.name):
-                train_dnn(prepared, record)
-                install_context(prepared, record)
-                result = pipeline.run_pipeline(self.config)
-            record.unit_s.append(time.perf_counter() - start)
+            with record.timed(record.unit_s):
+                with observe(os.path.join(scratch, "run"), workload=self.name):
+                    train_dnn(prepared, record)
+                    install_context(prepared, record)
+                    result = pipeline.run_pipeline(self.config)
             self._count_artefacts(scratch, record)
         finally:
             pipeline.convert_only = convert_only
