@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke stream-smoke sparse-smoke exec-smoke exec-obs-smoke runs-gc examples clean
+.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke stream-smoke exec-smoke exec-obs-smoke runs-gc examples clean
 
 install:
 	python setup.py develop
@@ -42,10 +42,10 @@ microbench:
 # `dashboard --once` renders deterministically.  Runs the
 # fault-tolerance smoke first, then the op-profiled variant (a
 # strict superset of the plain pipeline assertions), then the
-# streaming SLO + canary gate smoke, then the sparse-dispatch smoke,
-# then the parallel-executor supervision smoke, and finally the
-# distributed-observability (worker telemetry) smoke.
-smoke: faults-smoke profile-smoke stream-smoke sparse-smoke exec-smoke exec-obs-smoke
+# streaming SLO + canary gate smoke, then the parallel-executor
+# supervision smoke, and finally the distributed-observability (worker
+# telemetry) smoke.
+smoke: faults-smoke profile-smoke stream-smoke exec-smoke exec-obs-smoke
 
 # Parallel-execution check: map/reduce results must be bitwise
 # identical at workers 1/2/4, survive a deterministic chaos worker
@@ -66,16 +66,6 @@ exec-smoke:
 # unchanged, and the obs diffs must stay clean/informational.
 exec-obs-smoke:
 	PYTHONPATH=src python -m repro.exec.obs_smoke
-
-# Event-driven sparse execution check: crossover calibration must be
-# deterministic under a fixed time_fn and round-trip through its
-# artefact, a low-activity pipeline must route most weight-layer
-# forwards through the sparse gather kernels with dense-identical
-# logits (int8 within quantization tolerance), measured accumulate
-# counts must reach the energy.* gauges alongside dispatch.* telemetry
-# in report + dashboard, and an identical-seed self-diff must be clean.
-sparse-smoke:
-	PYTHONPATH=src python -m repro.snn.sparse_smoke
 
 # The same smoke pipeline with the op profiler on: both runs must write
 # profile.jsonl + a repro.obs.profile/v1 summary with per-layer

@@ -12,10 +12,6 @@ Subcommands
     kernel's median regressed past the threshold (the CI gate).
     Defaults: candidate = highest-seq ``BENCH_*.json``, baseline = the
     one before it.
-``crossover``
-    Calibrate the dense/sparse break-even density per layer shape and
-    write the schema-versioned artefact ``SpikingNetwork.
-    enable_sparse_dispatch`` loads (default: ``CROSSOVER.json``).
 ``list``
     Show the registered benches.
 
@@ -106,36 +102,6 @@ def _cmd_compare(args) -> int:
     return 0 if comparison.ok else 1
 
 
-def _cmd_crossover(args) -> int:
-    from .crossover import (
-        DEFAULT_DENSITIES,
-        DEFAULT_SIGNATURES,
-        calibrate_crossover,
-        write_artifact,
-    )
-
-    densities = (
-        [float(d) for d in args.densities.split(",")]
-        if args.densities else DEFAULT_DENSITIES
-    )
-    signatures = (
-        [s.strip() for s in args.signatures.split(";") if s.strip()]
-        if args.signatures else DEFAULT_SIGNATURES
-    )
-    artifact = calibrate_crossover(
-        signatures=signatures,
-        densities=densities,
-        batch=args.batch,
-        repeats=args.repeats,
-        seed=args.seed,
-        verbose=not args.quiet,
-    )
-    out = args.out or os.path.join(args.root, "CROSSOVER.json")
-    write_artifact(artifact, out)
-    console(f"wrote {out} ({len(artifact['entries'])} shapes)")
-    return 0
-
-
 def _cmd_list(args) -> int:
     for case in iter_benches(args.filter):
         console(
@@ -187,27 +153,6 @@ def main(argv=None) -> int:
                        help="absolute slowdown floor in seconds "
                             "(default: %(default)s)")
     cmp_p.set_defaults(fn=_cmd_compare)
-
-    cross_p = sub.add_parser(
-        "crossover",
-        help="calibrate dense/sparse break-even densities per layer shape",
-    )
-    cross_p.add_argument("--out", default=None,
-                         help="artefact path (default: <root>/CROSSOVER.json)")
-    cross_p.add_argument("--densities", default=None,
-                         help="comma-separated density grid to sweep")
-    cross_p.add_argument("--signatures", default=None,
-                         help="semicolon-separated layer signatures "
-                              "(default: tiny-VGG bench shapes)")
-    cross_p.add_argument("--batch", type=int, default=32,
-                         help="synthetic batch rows (default: %(default)s)")
-    cross_p.add_argument("--repeats", type=int, default=5,
-                         help="timing repeats per point (default: %(default)s)")
-    cross_p.add_argument("--seed", type=int, default=0,
-                         help="weight/spike-pattern seed (default: %(default)s)")
-    cross_p.add_argument("--quiet", action="store_true",
-                         help="suppress per-shape progress lines")
-    cross_p.set_defaults(fn=_cmd_crossover)
 
     list_p = sub.add_parser("list", help="show registered benches")
     list_p.add_argument("--filter", default=None)

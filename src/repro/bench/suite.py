@@ -282,204 +282,6 @@ def streaming_step():
     return run
 
 
-def _synthetic_spike_frame(shape, density, rng):
-    """Binary frame with exactly ``round(density * size)`` active units."""
-    total = int(np.prod(shape))
-    active = max(1, int(round(density * total)))
-    flat = np.zeros(total)
-    flat[rng.permutation(total)[:active]] = 1.0
-    return flat.reshape(shape)
-
-
-def _crossover_artifact_path():
-    """The committed calibration artefact, if present at the repo root."""
-    import os
-
-    root = os.path.dirname(  # src/repro/bench -> repo root
-        os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)))))
-    path = os.path.join(root, "CROSSOVER.json")
-    return path if os.path.exists(path) else None
-
-
-@register_bench("snn.sparse_linear_gather", group="snn")
-def sparse_linear_gather_micro():
-    """Event-gather linear kernel at 0.2% density (512 -> 256).
-
-    Times exactly what the dispatcher pays on a sparse-routed linear:
-    CSR packing plus the transposed-gather kernel.  The density sits
-    at the bottom of the calibrated sweep for this shape, under its
-    break-even, so this number should stay below the dense GEMM's
-    (``CROSSOVER.json`` records both sides of that crossover).
-    """
-    from ..nn import Linear
-    from ..tensor import Tensor, no_grad
-    from ..tensor.sparse import pack_spikes, sparse_linear_gather
-
-    rng = np.random.default_rng(0)
-    layer = Linear(512, 256, bias=False, rng=rng)
-    weight = layer.weight.data
-    frame = _synthetic_spike_frame((32, 512), 0.002, rng)
-
-    with no_grad():
-        dense = layer(Tensor(frame)).data
-    sparse = sparse_linear_gather(pack_spikes(frame, amplitude=1.0), weight)
-    assert np.allclose(sparse, dense, atol=1e-9)
-
-    def run():
-        return sparse_linear_gather(
-            pack_spikes(frame, amplitude=1.0), weight
-        )
-
-    return run
-
-
-@register_bench("snn.sparse_conv_gather", group="snn")
-def sparse_conv_gather_micro():
-    """Event-gather conv kernel at 0.5% density (16ch 8x8 -> 32ch)."""
-    from ..nn import Conv2d
-    from ..tensor import Tensor, no_grad
-    from ..tensor.sparse import (
-        pack_conv_weight,
-        pack_spikes,
-        sparse_conv2d_gather,
-    )
-
-    rng = np.random.default_rng(0)
-    layer = Conv2d(16, 32, 3, padding=1, bias=False, rng=rng)
-    packed = pack_conv_weight(layer.weight.data)
-    frame = _synthetic_spike_frame((32, 16, 8, 8), 0.005, rng)
-
-    with no_grad():
-        dense = layer(Tensor(frame)).data
-    sparse = sparse_conv2d_gather(
-        pack_spikes(frame, amplitude=1.0), stride=1, padding=1,
-        packed=packed, out_dtype=layer.weight.data.dtype,
-    )
-    assert np.allclose(sparse, dense, atol=1e-9)
-
-    def run():
-        return sparse_conv2d_gather(
-            pack_spikes(frame, amplitude=1.0), stride=1, padding=1,
-            packed=packed, out_dtype=np.float64,
-        )
-
-    return run
-
-
-@register_bench("snn.full_forward_t2_sparse", group="snn", repeats=9, warmup=2)
-def snn_full_forward_sparse():
-    """Dispatched T=2 pass through the tiny VGG in a low-activity regime.
-
-    Same converted network as ``snn.full_forward_t2``, fed attenuated
-    images so the hidden layers fall well below their calibrated
-    crossover densities (the operating point ultra-low-latency
-    conversion targets: most layer-steps nearly silent).  The
-    activity-adaptive dispatcher routes those layer-forwards through
-    the sparse gather kernels, so this median should land *under* the
-    dense ``snn.full_forward_t2`` one.  Setup asserts the regime is
-    genuine: hidden density <= 10%, a majority of weight-layer
-    forwards sparse-routed, and logits identical to the dense engine.
-    """
-    from ..tensor import no_grad
-
-    snn, images = _converted_tiny_vgg("fused")
-    images = images * 0.25
-
-    crossover = _crossover_artifact_path()
-    with no_grad():
-        reference = snn(images).data
-    probe = snn.enable_sparse_dispatch(crossover=crossover, count_ops=True)
-    with no_grad():
-        routed = snn(images).data
-    assert np.allclose(routed, reference, atol=1e-9)
-    stats = probe.layer_stats()
-    hidden = [s.mean_density for s in stats[1:]]
-    assert max(hidden) <= 0.10, f"hidden density too high: {hidden}"
-    sparse_runs = sum(s.sparse_runs for s in stats)
-    calls = sum(s.calls for s in stats)
-    assert sparse_runs * 2 >= calls, (
-        f"sparse routing did not dominate: {sparse_runs}/{calls}"
-    )
-    dispatch = snn.enable_sparse_dispatch(crossover=crossover)
-
-    def run():
-        with no_grad():
-            return snn(images)
-
-    assert run().shape == (16, 10)
-    # Paired back-to-back gate: the dispatched pass must actually beat
-    # the dense engine on this workload (minima, retried — cross-case
-    # medians on a busy host drift more than the effect size).
-    from ..profiling import time_callable
-
-    for attempt in range(3):
-        snn._dispatch = None
-        dense = time_callable(run, repeats=9, warmup=2)
-        snn._dispatch = dispatch
-        routed_t = time_callable(run, repeats=9, warmup=2)
-        if routed_t.minimum < dense.minimum:
-            break
-    else:
-        raise AssertionError(
-            f"sparse-routed pass did not beat dense: "
-            f"{routed_t.minimum * 1e3:.3f} ms vs {dense.minimum * 1e3:.3f} ms"
-        )
-    return run
-
-
-@register_bench("snn.dispatch_overhead", group="snn", repeats=9, warmup=2)
-def dispatch_overhead():
-    """Dense-path cost of the activity-adaptive dispatcher.
-
-    At standard bench activity (15-40% hidden density) every weight
-    layer stays on the dense GEMM, so an enabled dispatcher only pays
-    its routing bookkeeping: the density measurement and threshold
-    compare per layer-forward.  This case times the
-    ``snn.full_forward_t2`` workload with the dispatcher installed and
-    asserts it stays within 5% (plus a 0.1 ms floor, retried a few
-    times — two back-to-back minima on a busy host still jitter) of
-    the same workload without it.
-    """
-    from ..profiling import time_callable
-    from ..tensor import no_grad
-
-    snn, images = _converted_tiny_vgg("fused")
-    crossover = _crossover_artifact_path()
-
-    def run():
-        with no_grad():
-            return snn(images)
-
-    assert run().shape == (16, 10)
-    dispatch = snn.enable_sparse_dispatch(crossover=crossover)
-    snn._dispatch = None
-    for attempt in range(3):
-        snn._dispatch = None
-        before = time_callable(run, repeats=9, warmup=2)
-        snn._dispatch = dispatch
-        after = time_callable(run, repeats=9, warmup=2)
-        if after.minimum <= before.minimum * 1.05 + 1e-4:
-            break
-    else:
-        raise AssertionError(
-            f"dense-path dispatch overhead gate failed: "
-            f"{after.minimum * 1e3:.3f} ms dispatched vs "
-            f"{before.minimum * 1e3:.3f} ms plain (> 5% + 0.1 ms)"
-        )
-    stats = dispatch.layer_stats()
-    assert stats and all(s.sparse_runs == 0 for s in stats), (
-        "expected the standard-activity workload to stay fully dense"
-    )
-
-    def run_dispatched():
-        with no_grad():
-            return snn(images)
-
-    assert run_dispatched().shape == (16, 10)
-    return run_dispatched
-
-
 @register_bench("snn.sgl_step_t2", group="snn", repeats=5)
 def sgl_train_step():
     """One SGL fine-tuning step (fused forward + BPTT backward)."""

@@ -44,7 +44,6 @@ from .instruments import (
     measure_inference_memory,
     measure_training_memory,
     monitored,
-    record_dispatch_profile,
     record_energy_profile,
     record_spike_profile,
     timed,
@@ -122,7 +121,6 @@ __all__ = [
     "monitored",
     "observe",
     "profile",
-    "record_dispatch_profile",
     "record_energy_profile",
     "record_spike_profile",
     "render_report",

@@ -184,23 +184,6 @@ class DashboardState:
                 return [rates[k] for k in sorted(rates)]
         return None
 
-    def dispatch_rows(self) -> List[dict]:
-        """Per-layer sparse-dispatch gauges (``dispatch.*{layer=N}``)."""
-        gauges = (self.metrics or {}).get("gauges") or {}
-        rows: Dict[int, dict] = {}
-        for name, payload in gauges.items():
-            if not name.startswith("dispatch.") or "{layer=" not in name:
-                continue
-            field, label = name.split("{layer=", 1)
-            try:
-                layer = int(label.rstrip("}"))
-            except ValueError:
-                continue
-            value = (payload or {}).get("value")
-            if isinstance(value, (int, float)):
-                rows.setdefault(layer, {})[field[len("dispatch."):]] = float(value)
-        return [dict(row, layer=layer) for layer, row in sorted(rows.items())]
-
     def worker_rows(self) -> List[dict]:
         """Per-worker task/failure lanes (``exec.worker_*{worker=N}``)."""
         counters = (self.metrics or {}).get("counters") or {}
@@ -389,23 +372,6 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
     else:
         lines.append("   (no spike-rate telemetry yet)")
     lines.append(rule)
-
-    dispatch = state.dispatch_rows()
-    if dispatch:
-        lines.append(" sparse dispatch (density vs crossover)")
-        for row in dispatch:
-            density = row.get("density", 0.0)
-            threshold = row.get("threshold", 0.0)
-            frac = row.get("sparse_fraction", 0.0)
-            path = (
-                "sparse" if frac >= 1.0 else "dense " if frac <= 0.0 else "mixed "
-            )
-            lines.append(
-                f"   L{row['layer']:<3}{path} "
-                f"{hbar(density, max(10, width - 44))} "
-                f"d={density:.4f} x={threshold:.4f}"
-            )
-        lines.append(rule)
 
     workers = state.worker_rows()
     if workers:

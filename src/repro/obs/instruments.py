@@ -161,11 +161,6 @@ def record_energy_profile(
       ``energy.snn_joules``, ``energy.dnn_joules``,
       ``energy.improvement`` (the DNN/SNN energy ratio).
 
-    When the network runs with sparse dispatch enabled (and op counting
-    on), the rate-based per-layer ``snn_ops`` estimates are replaced by
-    the dispatcher's *exact* accumulate counts measured during the same
-    activity pass, and ``energy.measured_counts`` gauges 1.
-
     Returns the summary dict (also attached to the enclosing span).
     The energy package is imported lazily so the observability core
     never drags the accounting machinery in.
@@ -180,18 +175,9 @@ def record_energy_profile(
     registry = registry if registry is not None else obs_metrics.get_registry()
     record = is_enabled() or registry is not obs_metrics.get_registry()
     with trace.span("energy_profile", timesteps=snn.timesteps) as sp:
-        dispatch = getattr(snn, "sparse_dispatch", None)
-        if dispatch is not None and dispatch.count_ops:
-            dispatch.reset_stats()
         activity = measure_spiking_activity(snn, batches, max_batches=max_batches)
         rates = activity.rates_by_neuron_id(snn)
         records = snn_layer_flops(snn, input_shape, rates)
-        measured = _measured_snn_ops(
-            dispatch, records, activity.images, activity.timesteps
-        )
-        if measured is not None:
-            for rec, ops in zip(records, measured):
-                rec.snn_ops = ops
         model = EnergyModel()
         snn_joules = model.snn_energy(records)
         dnn_joules = model.dnn_energy(records)
@@ -206,7 +192,6 @@ def record_energy_profile(
             # A fully silent network has zero SNN energy; report 0 rather
             # than raising mid-run.
             "improvement": dnn_joules / snn_joules if snn_joules else 0.0,
-            "measured_counts": measured is not None,
         }
         sp.set(**summary)
     if record:
@@ -220,69 +205,7 @@ def record_energy_profile(
         for key in ("snn_total_flops", "dnn_total_flops", "snn_joules",
                     "dnn_joules", "improvement", "avg_spikes_per_neuron"):
             registry.set_gauge(f"{prefix}.{key}", summary[key])
-        registry.set_gauge(
-            f"{prefix}.measured_counts", float(summary["measured_counts"])
-        )
     return summary
-
-
-def _measured_snn_ops(dispatch, records, images, timesteps):
-    """Per-image exact accumulate counts from the dispatcher, if usable.
-
-    The dispatcher records one stats entry per weight layer in execution
-    order — the same order the structural FLOP walk yields.  The
-    hardware pays ``timesteps`` presentations per image at every layer,
-    but the simulator may have run a layer on fewer frames (the fused
-    engine's direct-encoding prefix computes once per forward; a folded
-    layer covers all steps in one ``(T*N)`` call) — each layer's summed
-    input batch says exactly how many frames it did see, so scaling by
-    ``timesteps * images / batch_sum`` recovers the per-presentation
-    count for every engine.
-    """
-    if dispatch is None or not dispatch.count_ops:
-        return None
-    stats = dispatch.layer_stats()
-    if len(stats) != len(records) or not images or not timesteps:
-        return None
-    if any(st.batch_sum <= 0 for st in stats):
-        return None
-    return [
-        st.accumulates * timesteps / st.batch_sum
-        for st in stats
-    ]
-
-
-def record_dispatch_profile(
-    snn,
-    prefix: str = "dispatch",
-    registry: Optional[MetricsRegistry] = None,
-) -> List[dict]:
-    """Publish the sparse dispatcher's per-layer telemetry as gauges.
-
-    For each weight layer (labelled ``layer=<index>`` in execution
-    order): ``dispatch.density`` (mean input spike density),
-    ``dispatch.threshold`` (its crossover), ``dispatch.sparse_fraction``
-    (share of forwards routed sparse), ``dispatch.sparse_runs`` /
-    ``dispatch.dense_runs``, and ``dispatch.accumulates`` (exact
-    synaptic ops).  Returns the stats as dicts (execution order); empty
-    when the network has no dispatcher or it has not run yet.
-    """
-    registry = registry if registry is not None else obs_metrics.get_registry()
-    dispatch = getattr(snn, "sparse_dispatch", None)
-    if dispatch is None:
-        return []
-    rows = []
-    for layer, st in enumerate(dispatch.layer_stats()):
-        registry.set_gauge(f"{prefix}.density", st.mean_density, layer=layer)
-        registry.set_gauge(f"{prefix}.threshold", st.threshold, layer=layer)
-        registry.set_gauge(
-            f"{prefix}.sparse_fraction", st.sparse_fraction, layer=layer
-        )
-        registry.set_gauge(f"{prefix}.sparse_runs", st.sparse_runs, layer=layer)
-        registry.set_gauge(f"{prefix}.dense_runs", st.dense_runs, layer=layer)
-        registry.set_gauge(f"{prefix}.accumulates", st.accumulates, layer=layer)
-        rows.append(dict(st.as_dict(), layer=layer))
-    return rows
 
 
 # ----------------------------------------------------------------------

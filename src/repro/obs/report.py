@@ -330,51 +330,6 @@ def _render_drift(data: RunData, lines: List[str]) -> None:
         lines.append("")
 
 
-def _dispatch_rows(gauges: Dict[str, dict]) -> List[dict]:
-    """Collect ``dispatch.*{layer=N}`` gauges into per-layer rows."""
-    rows: Dict[int, dict] = {}
-    for name, payload in gauges.items():
-        if not name.startswith("dispatch.") or "{layer=" not in name:
-            continue
-        field, label = name.split("{layer=", 1)
-        try:
-            layer = int(label.rstrip("}"))
-        except ValueError:
-            continue
-        rows.setdefault(layer, {})[field[len("dispatch."):]] = payload.get("value")
-    return [dict(row, layer=layer) for layer, row in sorted(rows.items())]
-
-
-def _render_dispatch(data: RunData, lines: List[str]) -> None:
-    """The "Sparse dispatch" section: per-layer density vs crossover
-    threshold, the chosen path mix, and exact accumulate counts."""
-    rows = _dispatch_rows(data.metrics.get("gauges", {}))
-    if not rows:
-        return
-    sparse_total = sum(r.get("sparse_runs") or 0 for r in rows)
-    dense_total = sum(r.get("dense_runs") or 0 for r in rows)
-    lines.append(
-        f"## Sparse dispatch ({sparse_total:g} sparse / "
-        f"{dense_total:g} dense layer-forwards)"
-    )
-    lines.append("")
-    lines.append(
-        "| layer | density | threshold | path | sparse | dense | accumulates |"
-    )
-    lines.append("| ---: | ---: | ---: | --- | ---: | ---: | ---: |")
-    for row in rows:
-        frac = row.get("sparse_fraction") or 0.0
-        path = "sparse" if frac >= 1.0 else "dense" if frac <= 0.0 else "mixed"
-        lines.append(
-            f"| {row['layer']} | {_fmt(row.get('density'))} "
-            f"| {_fmt(row.get('threshold'))} | {path} "
-            f"| {row.get('sparse_runs') or 0:g} "
-            f"| {row.get('dense_runs') or 0:g} "
-            f"| {row.get('accumulates') or 0:g} |"
-        )
-    lines.append("")
-
-
 def _worker_rows(counters: Dict[str, float]) -> List[dict]:
     """Collect ``exec.worker_*{worker=N}`` counters into per-worker rows."""
     rows: Dict[int, dict] = {}
@@ -719,8 +674,6 @@ def render_report(data: RunData) -> str:
 
     if data.drift:
         _render_drift(data, lines)
-
-    _render_dispatch(data, lines)
 
     _render_exec(data, lines)
 

@@ -15,20 +15,10 @@ from .encoding import (
     PoissonEncoder,
     TTFSEncoder,
 )
-from .dispatch import (
-    CrossoverTable,
-    LayerDispatchStats,
-    SparseDispatch,
-    active_dispatch,
-    dispatch_context,
-    layer_signature,
-)
 from .event_driven import (
     EventCounts,
     EventDrivenNetwork,
     conv_fanout_map,
-    sparse_conv2d,
-    sparse_linear,
 )
 from .neurons import (
     IFNeuron,
@@ -61,13 +51,7 @@ from .surrogate import (
 )
 
 __all__ = [
-    "CrossoverTable",
     "DirectEncoder",
-    "LayerDispatchStats",
-    "SparseDispatch",
-    "active_dispatch",
-    "dispatch_context",
-    "layer_signature",
     "first_spike_latency",
     "layer_summary",
     "record_spike_raster",
@@ -80,8 +64,6 @@ __all__ = [
     "IFNeuron",
     "PassthroughEncoder",
     "conv_fanout_map",
-    "sparse_conv2d",
-    "sparse_linear",
     "LIFNeuron",
     "PoissonEncoder",
     "STDPConfig",

@@ -10,12 +10,7 @@ loop:
 - :class:`EventDrivenNetwork` re-runs a converted network input-by-
   input, counting the **exact** number of accumulates every weight
   layer performs (one per spike event per reachable output connection)
-  while producing bit-identical outputs to the dense simulator;
-- with ``sparse=True`` the synaptic propagation itself is executed
-  event-by-event (scatter-accumulate over the active inputs), a
-  reference implementation of how a neuromorphic core would process the
-  layer.  It is slower in numpy but validates that the dense GEMM and
-  the event-driven semantics agree exactly.
+  while producing bit-identical outputs to the dense simulator.
 
 The exact counts let the test-suite bound the error of the rate-based
 FLOP estimator — the quantity behind the paper's Fig. 4(b)/(c).
@@ -30,7 +25,6 @@ import numpy as np
 
 from ..nn import Conv2d, Linear
 from ..tensor import Tensor, no_grad
-from ..tensor.sparse import pack_spikes, sparse_conv2d_gather, sparse_linear_gather
 from .network import SpikingNetwork, StepWrapper
 
 
@@ -63,40 +57,6 @@ def conv_fanout_map(
     cols = coverage(width, out_w)
     per_position = rows[:, None] * cols[None, :] * layer.out_channels
     return np.broadcast_to(per_position, (channels, height, width)).copy()
-
-
-def sparse_conv2d(
-    spikes: np.ndarray, layer: Conv2d
-) -> np.ndarray:
-    """Event-driven convolution over the active inputs only.
-
-    Vectorised gather/segment-sum execution (``repro.tensor.sparse``):
-    events are packed once, each kernel offset gathers its per-channel
-    weight rows and accumulates sorted output-row runs — no per-event
-    Python loop.  Semantics are unchanged from the original reference
-    implementation (one accumulate per spike per reachable output
-    connection).
-    """
-    return sparse_conv2d_gather(
-        pack_spikes(spikes),
-        weight=layer.weight.data,
-        stride=layer.stride,
-        padding=layer.padding,
-        bias=layer.bias.data if layer.bias is not None else None,
-    )
-
-
-def sparse_linear(spikes: np.ndarray, layer: Linear) -> np.ndarray:
-    """Event-driven linear layer: accumulate active columns only.
-
-    Vectorised: one transposed weight gather over the packed event
-    columns plus a segment sum per sample row.
-    """
-    return sparse_linear_gather(
-        pack_spikes(spikes),
-        weight=layer.weight.data,
-        bias=layer.bias.data if layer.bias is not None else None,
-    )
 
 
 @dataclass
@@ -137,11 +97,8 @@ class EventDrivenNetwork:
     ----------
     snn:
         A converted :class:`SpikingNetwork` (evaluated in eval mode).
-    sparse:
-        If True, hidden-layer synaptic propagation is executed with the
-        event-by-event reference kernels (slow; use small inputs).
-        Otherwise the dense GEMM computes values while events are
-        counted exactly from the spike tensors.
+        The dense GEMM computes values while events are counted exactly
+        from the spike tensors.
 
     Usage::
 
@@ -149,9 +106,8 @@ class EventDrivenNetwork:
         logits, counts = runner.run(images)
     """
 
-    def __init__(self, snn: SpikingNetwork, sparse: bool = False) -> None:
+    def __init__(self, snn: SpikingNetwork) -> None:
         self.snn = snn
-        self.sparse = sparse
         self._counts: Optional[EventCounts] = None
         self._fanout_cache: Dict[int, np.ndarray] = {}
         self._first_weight_layer: Optional[int] = None
@@ -209,22 +165,17 @@ class EventDrivenNetwork:
                         counts.accumulates[_index] += float(
                             data.shape[0] * _inner.in_features * _inner.out_features
                         )
-                    return _orig(x)
-                if isinstance(_inner, Conv2d):
+                elif isinstance(_inner, Conv2d):
                     fanout = self._fanout_for(_inner, data.shape[1:])
                     active = data != 0.0
                     counts.accumulates[_index] += float(
                         (active * fanout[None]).sum()
                     )
-                    if self.sparse:
-                        return Tensor(sparse_conv2d(data, _inner))
-                    return _orig(x)
-                active_counts = (data != 0.0).sum()
-                counts.accumulates[_index] += float(
-                    active_counts * _inner.out_features
-                )
-                if self.sparse:
-                    return Tensor(sparse_linear(data, _inner))
+                else:
+                    active_counts = (data != 0.0).sum()
+                    counts.accumulates[_index] += float(
+                        active_counts * _inner.out_features
+                    )
                 return _orig(x)
 
             object.__setattr__(wrapper, "forward", counting)

@@ -56,8 +56,7 @@ from ..nn.conv import Conv2d
 from ..nn.linear import Linear
 from ..nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from ..nn.module import Module
-from ..tensor import GradMode, Tensor, concatenate
-from .dispatch import SparseDispatch, active_dispatch, dispatch_context
+from ..tensor import Tensor, concatenate
 from .encoding import DirectEncoder, Encoder
 from .neurons import SpikingNeuron
 
@@ -169,11 +168,6 @@ class StepWrapper(SpikingModule):
         self.inner = inner
 
     def forward(self, x: Tensor) -> Tensor:
-        dispatch = active_dispatch()
-        if dispatch is not None:
-            out = dispatch.maybe_run(self.inner, x)
-            if out is not None:
-                return out
         return self.inner(x)
 
     def _folds(self) -> bool:
@@ -405,12 +399,6 @@ class SpikingNetwork(SpikingModule):
         # ``reset_state()`` so membranes (and pooling counts) stay warm
         # across consecutive windows.  Set via :meth:`streaming`.
         self.carry_state = False
-        # Activity-adaptive sparse dispatch (repro.snn.dispatch); None
-        # keeps every weight layer on the dense path.  Installed into
-        # the module-global dispatch context only for eligible passes
-        # (eval mode, gradients disabled), so training and autograd
-        # probes never leave the dense autograd path.
-        self._dispatch: Optional[SparseDispatch] = None
 
     # ------------------------------------------------------------------
     # Observability
@@ -484,63 +472,9 @@ class SpikingNetwork(SpikingModule):
             self.carry_state = previous
             self.reset_state()
 
-    # ------------------------------------------------------------------
-    # Sparse dispatch plumbing
-    # ------------------------------------------------------------------
-    def enable_sparse_dispatch(
-        self,
-        crossover=None,
-        int8: bool = False,
-        count_ops: bool = False,
-        defaults=None,
-    ) -> SparseDispatch:
-        """Route weight layers through the activity-adaptive dispatcher.
-
-        ``crossover`` is ``None`` (conservative per-kind defaults), a
-        path to a ``python -m repro.bench crossover`` artefact, or a
-        :class:`~repro.snn.dispatch.CrossoverTable`.  ``int8=True``
-        additionally packs each layer's weights to int8 so sparse
-        gathers accumulate in integer form (quantize the network with
-        ``repro.hw.quantize_weights(snn, 8)`` first if the dense
-        fallback path should see the same weight grid).  ``count_ops=
-        True`` keeps exact per-layer accumulate counts on every forward
-        (what ``record_energy_profile`` consumes for measured energy) at
-        a small per-layer bookkeeping cost; the default tracks densities
-        and routing only.  Only no-grad eval passes are affected;
-        training keeps the dense autograd path.  Returns the installed
-        :class:`SparseDispatch`.
-        """
-        self._dispatch = SparseDispatch(
-            crossover=crossover,
-            int8=int8,
-            count_ops=count_ops,
-            defaults=defaults,
-        )
-        return self._dispatch
-
-    def disable_sparse_dispatch(self) -> None:
-        self._dispatch = None
-
-    @property
-    def sparse_dispatch(self) -> Optional[SparseDispatch]:
-        return self._dispatch
-
-    def _dispatch_eligible(self) -> bool:
-        return (
-            self._dispatch is not None
-            and not self.training
-            and not GradMode.is_enabled()
-        )
-
     def forward(self, images) -> Tensor:
         if not self.carry_state:
             self.reset_state()
-        if self._dispatch_eligible():
-            with dispatch_context(self._dispatch):
-                return self._run_engine(images)
-        return self._run_engine(images)
-
-    def _run_engine(self, images) -> Tensor:
         if self.resolved_mode() == "fused":
             return self._forward_fused(images)
         return self._forward_stepwise(images)

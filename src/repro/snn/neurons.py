@@ -28,7 +28,6 @@ import numpy as np
 
 from ..nn.module import Module, Parameter
 from ..tensor import GradMode, Tensor
-from .dispatch import active_dispatch
 from .surrogate import SurrogateFn, get_surrogate
 
 
@@ -393,14 +392,6 @@ class SpikingNeuron(Module):
         alive = self._unit_alive_mask(current.data.shape[1:])
         if alive is not None:
             spikes = _silence_units(spikes, alive)
-        dispatch = active_dispatch()
-        if dispatch is not None:
-            # Spike trains are uniform-amplitude by construction; the
-            # dispatcher can pack this exact array without re-deriving
-            # the spike height.
-            dispatch.offer_spikes(
-                spikes.data, amplitude=self.beta * self.threshold
-            )
         return spikes
 
     def forward_fused(self, current: Tensor, timesteps: int) -> Tensor:
@@ -446,16 +437,6 @@ class SpikingNeuron(Module):
         alive = self._unit_alive_mask(current.data.shape[1:])
         if alive is not None:
             spikes = _silence_units(spikes, alive)
-        dispatch = active_dispatch()
-        if dispatch is not None:
-            # fired_total is this call's exact event count unless dead
-            # units were silenced after the scan (then let the
-            # dispatcher recount).
-            dispatch.offer_spikes(
-                spikes.data,
-                nnz=None if alive is not None else int(fired_total),
-                amplitude=self.beta * self.threshold,
-            )
         return spikes
 
     def extra_repr(self) -> str:

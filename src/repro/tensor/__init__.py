@@ -21,13 +21,6 @@ from .conv_ops import (
     max_pool2d,
 )
 from .gradcheck import check_gradients, numeric_gradient
-from .sparse import (
-    SparseSpikes,
-    pack_conv_weight,
-    pack_spikes,
-    sparse_conv2d_gather,
-    sparse_linear_gather,
-)
 from .ops import (
     clip,
     dropout,
@@ -54,12 +47,7 @@ from .tensor import (
 __all__ = [
     "GradMode",
     "Node",
-    "SparseSpikes",
     "Tensor",
-    "pack_conv_weight",
-    "pack_spikes",
-    "sparse_conv2d_gather",
-    "sparse_linear_gather",
     "add_op_observer",
     "avg_pool2d",
     "check_gradients",

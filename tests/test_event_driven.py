@@ -1,4 +1,4 @@
-"""Event-driven execution: exact accounting and sparse-kernel equivalence."""
+"""Event-driven execution: exact accumulate accounting."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,9 @@ import pytest
 from repro.conversion import ConversionConfig, convert_dnn_to_snn
 from repro.data import DataLoader
 from repro.models import vgg11
-from repro.nn import Conv2d, Linear
-from repro.snn import (
-    EventDrivenNetwork,
-    conv_fanout_map,
-    sparse_conv2d,
-    sparse_linear,
-)
-from repro.tensor import Tensor, no_grad
+from repro.nn import Conv2d
+from repro.snn import EventDrivenNetwork, conv_fanout_map
+from repro.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -68,34 +63,6 @@ class TestFanoutMap:
         assert fanout.sum() == out_hw * 2 * 1 * 3 * 3
 
 
-class TestSparseKernels:
-    def test_sparse_conv_matches_dense(self, rng):
-        layer = Conv2d(3, 4, 3, stride=1, padding=1, rng=rng)
-        spikes = (rng.random((2, 3, 6, 6)) < 0.3) * 1.7  # sparse, amp 1.7
-        dense = layer(Tensor(spikes)).data
-        sparse = sparse_conv2d(spikes, layer)
-        np.testing.assert_allclose(sparse, dense, atol=1e-10)
-
-    def test_sparse_conv_strided(self, rng):
-        layer = Conv2d(2, 3, 3, stride=2, padding=1, rng=rng)
-        spikes = (rng.random((1, 2, 8, 8)) < 0.2) * 1.0
-        np.testing.assert_allclose(
-            sparse_conv2d(spikes, layer), layer(Tensor(spikes)).data, atol=1e-10
-        )
-
-    def test_sparse_conv_all_silent(self, rng):
-        layer = Conv2d(1, 2, 3, padding=1, rng=rng)
-        out = sparse_conv2d(np.zeros((1, 1, 4, 4)), layer)
-        np.testing.assert_allclose(out, 0.0)
-
-    def test_sparse_linear_matches_dense(self, rng):
-        layer = Linear(10, 4, rng=rng)
-        spikes = (rng.random((3, 10)) < 0.4) * 0.9
-        np.testing.assert_allclose(
-            sparse_linear(spikes, layer), layer(Tensor(spikes)).data, atol=1e-12
-        )
-
-
 class TestEventDrivenNetwork:
     def test_outputs_match_dense_simulator(self, converted):
         snn, images = converted
@@ -105,14 +72,6 @@ class TestEventDrivenNetwork:
         with no_grad():
             reference = snn(images)
         np.testing.assert_allclose(logits.data, reference.data, atol=1e-10)
-
-    def test_sparse_mode_matches_too(self, converted):
-        snn, images = converted
-        dense_logits, _ = EventDrivenNetwork(snn).run(images)
-        sparse_logits, _ = EventDrivenNetwork(snn, sparse=True).run(images)
-        np.testing.assert_allclose(
-            sparse_logits.data, dense_logits.data, atol=1e-8
-        )
 
     def test_counts_structure(self, converted):
         snn, images = converted

@@ -44,6 +44,14 @@ class TestQuantizeArray:
         with pytest.raises(ValueError):
             quantize_array(rng.normal(size=3), bits=1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_quantize_array_preserves_dtype(self, dtype):
+        with default_dtype(dtype):
+            values = np.asarray(
+                np.random.default_rng(14).normal(size=(8, 8)), dtype=dtype
+            )
+            assert quantize_array(values, 8).dtype == np.dtype(dtype)
+
 
 class TestQuantizeWeights:
     @pytest.fixture()
