@@ -111,19 +111,6 @@ def algorithm1_search():
     return run
 
 
-@register_bench("conversion.algorithm1_search_fast", group="conversion")
-def algorithm1_search_fast():
-    from ..conversion import find_scaling_factors_fast
-
-    percentiles = _algorithm1_percentiles()
-
-    def run():
-        return find_scaling_factors_fast(percentiles, 2.0, 2)
-
-    assert 0 < run().alpha <= 1.0
-    return run
-
-
 def _converted_tiny_vgg(mode: str):
     from ..conversion import ConversionConfig, convert_dnn_to_snn
     from ..data import DataLoader

@@ -17,7 +17,6 @@ from .algorithm1 import (
     ScalingFactors,
     compute_loss,
     find_scaling_factors,
-    find_scaling_factors_fast,
 )
 from .calibration import calibrate_snn
 from .diagnostics import (
@@ -76,7 +75,6 @@ __all__ = [
     "expected_difference",
     "expected_difference_alpha_beta",
     "find_scaling_factors",
-    "find_scaling_factors_fast",
     "g_i",
     "grid_scaling_specs",
     "h_prime_t_mu",
