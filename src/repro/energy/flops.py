@@ -72,6 +72,9 @@ def trace_weight_layers(
     """Trace a forward pass and return MAC counts per weight layer.
 
     ``input_shape`` excludes the batch dimension, e.g. ``(3, 32, 32)``.
+    A spiking body is traced from a cleared temporal state and left
+    cleared: membranes carried from an earlier batch have that batch's
+    geometry, which the one-image trace cannot continue.
     """
     records: List[LayerFlops] = []
     patched = []
@@ -99,12 +102,17 @@ def trace_weight_layers(
     if not patched:
         raise ValueError("model has no Conv2d/Linear layers")
 
+    reset_state = getattr(model, "reset_state", None)
     was_training = model.training
     model.eval()
     try:
+        if reset_state is not None:
+            reset_state()
         dummy = Tensor(np.zeros((1,) + tuple(input_shape)))
         model(dummy)
     finally:
+        if reset_state is not None:
+            reset_state()
         model.train(was_training)
         for module, original in patched:
             object.__setattr__(module, "forward", original)

@@ -54,10 +54,16 @@ def _probe_task(payload: Tuple[int, float]) -> float:
 
 
 def _read_jsonl(path: str) -> List[dict]:
+    """Every record of ``path`` (absent → empty); any malformed line is
+    a failure, since the smoke's artefacts must be written whole."""
+    from ..obs.core import read_jsonl
+
     if not os.path.exists(path):
         return []
-    with open(path, "r", encoding="utf-8") as fp:
-        return [json.loads(line) for line in fp if line.strip()]
+    records, skipped = read_jsonl(path)
+    if skipped:
+        raise ValueError(f"{path}: {skipped} malformed line(s)")
+    return records
 
 
 def _merged_path(run_dir: str) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import IO, Callable, List, Optional
+from typing import IO, Callable, List, Optional, Tuple
 
 _RUN_COUNTER = 0
 
@@ -264,6 +264,29 @@ def _write_line(fp: Optional[IO[str]], record: dict) -> None:
     if fp is not None:
         fp.write(json.dumps(record, default=_json_default) + "\n")
         fp.flush()
+
+
+def read_jsonl(path: str) -> Tuple[List[dict], int]:
+    """All JSON-object lines of ``path`` plus the count of malformed
+    ones (a torn tail from a killed run must not discard the good
+    lines).  Blank lines are ignored; a missing file raises ``OSError``.
+    """
+    records, skipped = [], 0
+    with open(path, "r", encoding="utf-8") as fp:
+        for line in fp:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                skipped += 1
+                continue
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                skipped += 1
+    return records, skipped
 
 
 def _json_default(value):

@@ -51,6 +51,7 @@ from typing import IO, List, Optional
 
 from ..tensor.tensor import add_op_observer, remove_op_observer
 from . import trace
+from .core import read_jsonl
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 PROFILE_SCHEMA_VERSION = 1
@@ -434,9 +435,7 @@ def load_records(run_dir: str) -> List[dict]:
     path = os.path.join(run_dir, PROFILE_FILENAME)
     if not os.path.exists(path):
         return []
-    from .report import _read_jsonl
-
-    records, _ = _read_jsonl(path)
+    records, _ = read_jsonl(path)
     return [r for r in records if r.get("kind") == "op"]
 
 

@@ -461,7 +461,7 @@ class SpikingNetwork(SpikingModule):
         starts cold and leaves no residue.  Both execution engines
         honour the carried state (the fused scan warm-starts from the
         carried membrane), and batch geometry must stay constant across
-        windows.
+        windows: both raise ``ValueError`` when it changes.
         """
         previous = self.carry_state
         self.reset_state()

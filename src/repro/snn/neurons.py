@@ -79,22 +79,28 @@ def spike_function(
     return Tensor.from_op(out, (u_temp, v_threshold), bwd, "spike")
 
 
+def _check_carried_shape(carried_shape, frame_shape) -> None:
+    """A carried membrane must match the frame shape exactly — a mismatch
+    means the stream changed batch geometry mid-flight, which has no
+    meaningful continuation (and must not silently broadcast)."""
+    if tuple(carried_shape) != tuple(frame_shape):
+        raise ValueError(
+            f"carried membrane shape {tuple(carried_shape)} does not match "
+            f"frame shape {tuple(frame_shape)}"
+        )
+
+
 def _initial_membrane(initial_potential, frame_shape, dtype) -> np.ndarray:
     """Materialise the membrane entering the scan.
 
     A scalar fills a fresh frame-shaped membrane (cold start); an array
     is a carried membrane from a previous window (warm start) and must
-    already match the frame shape — a mismatch means the stream changed
-    batch geometry mid-flight, which has no meaningful continuation.
+    already match the frame shape (:func:`_check_carried_shape`).
     """
     if np.ndim(initial_potential) == 0:
         return np.full(frame_shape, initial_potential, dtype=dtype)
     carried = np.asarray(initial_potential, dtype=dtype)
-    if carried.shape != tuple(frame_shape):
-        raise ValueError(
-            f"carried membrane shape {carried.shape} does not match "
-            f"frame shape {tuple(frame_shape)}"
-        )
+    _check_carried_shape(carried.shape, frame_shape)
     return carried.copy()
 
 
@@ -374,6 +380,7 @@ class SpikingNeuron(Module):
             )
         else:
             membrane = self.membrane
+            _check_carried_shape(membrane.data.shape, current.data.shape)
         u_temp = membrane * self.leak + current
         spikes = spike_function(u_temp, self.v_threshold, self.beta, self.surrogate)
         fired_mask = (spikes.data != 0.0).astype(current.data.dtype)

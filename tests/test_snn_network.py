@@ -9,21 +9,34 @@ from repro.snn import (
     IFNeuron,
     SpikingMaxPool,
     SpikingNetwork,
+    SpikingNeuron,
     SpikingResidualBlock,
     SpikingSequential,
     StepWrapper,
     TemporalDropout,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
-def tiny_snn(timesteps=4, v_th=1.0, rng=None):
+def conv_snn(timesteps=4, v_th=1.0, rng=None):
     rng = rng or np.random.default_rng(0)
     body = SpikingSequential(
         StepWrapper(Conv2d(1, 2, 3, padding=1, rng=rng)),
         IFNeuron(v_threshold=v_th),
         StepWrapper(Flatten()),
         StepWrapper(Linear(2 * 4 * 4, 3, bias=False, rng=rng)),
+    )
+    return SpikingNetwork(body, timesteps=timesteps)
+
+
+def tiny_snn(input_features=36, num_classes=4, timesteps=2, seed=0):
+    rng = np.random.default_rng(seed)
+    body = SpikingSequential(
+        StepWrapper(Flatten()),
+        StepWrapper(Linear(input_features, 10, rng=rng)),
+        SpikingNeuron(v_threshold=0.5, trainable=False),
+        StepWrapper(Linear(10, num_classes, rng=rng)),
+        SpikingNeuron(v_threshold=0.5, trainable=False),
     )
     return SpikingNetwork(body, timesteps=timesteps)
 
@@ -119,25 +132,25 @@ class TestSpikingResidualBlock:
 
 class TestSpikingNetwork:
     def test_output_is_time_average(self, rng):
-        snn = tiny_snn(timesteps=4)
+        snn = conv_snn(timesteps=4)
         x = rng.normal(size=(2, 1, 4, 4))
         out = snn(x)
         assert out.shape == (2, 3)
 
     def test_state_reset_between_forwards(self, rng):
-        snn = tiny_snn(timesteps=2)
+        snn = conv_snn(timesteps=2)
         x = rng.normal(size=(1, 1, 4, 4))
         first = snn(x).data.copy()
         second = snn(x).data
         np.testing.assert_allclose(first, second)
 
     def test_more_timesteps_changes_nothing_for_constant_zero(self):
-        snn = tiny_snn(timesteps=3)
+        snn = conv_snn(timesteps=3)
         out = snn(np.zeros((1, 1, 4, 4)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_recording_controls(self, rng):
-        snn = tiny_snn(timesteps=2, v_th=0.01)
+        snn = conv_snn(timesteps=2, v_th=0.01)
         snn.set_recording(True)
         snn(np.abs(rng.normal(size=(1, 1, 4, 4))))
         assert snn.total_spikes() > 0
@@ -148,7 +161,7 @@ class TestSpikingNetwork:
         assert snn.total_spikes() == 0
 
     def test_spiking_neurons_enumeration(self):
-        snn = tiny_snn()
+        snn = conv_snn()
         assert len(snn.spiking_neurons()) == 1
 
     def test_invalid_timesteps(self):
@@ -156,12 +169,12 @@ class TestSpikingNetwork:
             SpikingNetwork(SpikingSequential(), timesteps=0)
 
     def test_accepts_tensor_input(self, rng):
-        snn = tiny_snn(timesteps=2)
+        snn = conv_snn(timesteps=2)
         out = snn(Tensor(rng.normal(size=(1, 1, 4, 4))))
         assert out.shape == (1, 3)
 
     def test_bptt_gradients_flow_to_weights(self, rng):
-        snn = tiny_snn(timesteps=3, v_th=0.5)
+        snn = conv_snn(timesteps=3, v_th=0.5)
         out = snn(np.abs(rng.normal(size=(2, 1, 4, 4))))
         out.sum().backward()
         conv = snn.body[0].inner
@@ -169,7 +182,7 @@ class TestSpikingNetwork:
         assert np.abs(conv.weight.grad).sum() > 0
 
     def test_bptt_gradients_flow_to_threshold(self, rng):
-        snn = tiny_snn(timesteps=3, v_th=0.5)
+        snn = conv_snn(timesteps=3, v_th=0.5)
         out = snn(np.abs(rng.normal(size=(2, 1, 4, 4))) + 0.5)
         out.sum().backward()
         neuron = snn.spiking_neurons()[0]
@@ -226,3 +239,79 @@ class TestSpikingMaxPool:
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
             SpikingMaxPool(0)
+
+
+class TestStreamingState:
+    def test_fused_scan_warm_starts_from_carried_membrane(self):
+        rng = np.random.default_rng(0)
+        # T=2 folded batch of N=4 rows; currents below threshold so the
+        # carried residual decides whether the second window fires.
+        current = Tensor(rng.uniform(0.4, 0.9, size=(8, 3)))
+        neuron = SpikingNeuron(v_threshold=1.0, trainable=False)
+        with no_grad():
+            cold = neuron.forward_fused(current, 2)
+            assert neuron.membrane is not None
+            warm = neuron.forward_fused(current, 2)  # warm-started
+            neuron.reset_state()
+            cold_again = neuron.forward_fused(current, 2)
+        assert not np.array_equal(cold.data, warm.data)
+        np.testing.assert_array_equal(cold.data, cold_again.data)
+        # Carried membrane with the wrong batch geometry is an error.
+        neuron.membrane = Tensor(np.zeros((5, 3)))
+        with pytest.raises(ValueError):
+            with no_grad():
+                neuron.forward_fused(current, 2)
+
+    def test_streaming_context_carries_then_restores(self):
+        snn = tiny_snn()
+        snn.eval()
+        rng = np.random.default_rng(1)
+        x1 = rng.random((3, 1, 6, 6))
+        x2 = rng.random((3, 1, 6, 6))
+        with no_grad():
+            cold = snn(x2).data
+            assert snn.carry_state is False
+            with snn.streaming():
+                assert snn.carry_state is True
+                snn(x1)
+                carried = [n.membrane is not None
+                           for n in snn.spiking_neurons()]
+                assert all(carried)
+                warm = snn(x2).data
+            assert snn.carry_state is False
+            assert all(n.membrane is None for n in snn.spiking_neurons())
+            assert np.array_equal(snn(x2).data, cold)
+        assert not np.array_equal(warm, cold)
+
+    def test_fused_and_stepwise_streaming_agree(self):
+        rng = np.random.default_rng(2)
+        windows = [rng.random((3, 1, 6, 6)) for _ in range(3)]
+        outputs = {}
+        for mode in ("fused", "stepwise"):
+            snn = tiny_snn()
+            snn.mode = mode
+            snn.eval()
+            with no_grad(), snn.streaming():
+                outputs[mode] = [snn(x).data for x in windows]
+        for got_fused, got_stepwise in zip(outputs["fused"],
+                                           outputs["stepwise"]):
+            np.testing.assert_allclose(got_fused, got_stepwise, atol=1e-10)
+
+    def test_both_engines_reject_carried_geometry_change(self):
+        # A carried (1, 8) membrane cannot continue into a batch-4
+        # window: the fused scan and the stepwise neuron both raise
+        # instead of broadcasting.
+        for mode in ("fused", "stepwise"):
+            rng = np.random.default_rng(0)
+            snn = SpikingNetwork(SpikingSequential(
+                StepWrapper(Flatten()),
+                StepWrapper(Linear(12, 8, rng=rng)),
+                IFNeuron(v_threshold=0.5),
+                StepWrapper(Linear(8, 3, rng=rng)),
+            ), timesteps=2)
+            snn.mode = mode
+            snn.eval()
+            with no_grad(), snn.streaming():
+                snn(rng.random((1, 12)))
+                with pytest.raises(ValueError, match="carried membrane shape"):
+                    snn(rng.random((4, 12)))
