@@ -11,7 +11,8 @@ any two of them into a CI exit code.
 - :mod:`suite`    — the standard kernels (conv2d im2col, IF step,
   surrogate backward, Algorithm 1, full T-step SNN forward);
 - :mod:`runner`   — timing + schema-versioned baseline files;
-- :mod:`compare`  — median-based regression gating.
+- :mod:`compare`  — median-based regression gating, refused across
+  differing environment fingerprints.
 
 The same registered definitions back ``benchmarks/test_microbench.py``
 (pytest-benchmark), so a kernel's benchmark is written exactly once.
@@ -23,6 +24,7 @@ from .compare import (
     BenchDelta,
     Comparison,
     compare_reports,
+    environment_differences,
 )
 from .registry import (
     BenchCase,
@@ -56,6 +58,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "bench_names",
     "compare_reports",
+    "environment_differences",
     "environment_fingerprint",
     "find_baselines",
     "get_bench",

@@ -9,7 +9,9 @@ Subcommands
     redirects it (e.g. to a scratch file for a CI compare).
 ``compare``
     Diff a candidate report against a baseline and exit 1 when any
-    kernel's median regressed past the threshold (the CI gate).
+    kernel's median regressed past the threshold (the CI gate).  Exit 2
+    (no comparison) when the two reports' environment fingerprints
+    differ in python, implementation, machine, numpy or cpu_count.
     Defaults: candidate = highest-seq ``BENCH_*.json``, baseline = the
     one before it.
 ``list``
@@ -31,7 +33,12 @@ import os
 import sys
 
 from ..obs import console, observe
-from .compare import DEFAULT_MIN_DELTA_S, DEFAULT_THRESHOLD, compare_reports
+from .compare import (
+    DEFAULT_MIN_DELTA_S,
+    DEFAULT_THRESHOLD,
+    compare_reports,
+    environment_differences,
+)
 from .registry import iter_benches
 from .runner import (
     find_baselines,
@@ -90,14 +97,22 @@ def _cmd_compare(args) -> int:
         baseline_path = baselines[-1][1]
     elif candidate_path is None:
         raise SystemExit("--baseline without --candidate makes no sense")
+    baseline, candidate = load_report(baseline_path), load_report(candidate_path)
+    console(f"baseline:  {baseline_path}")
+    console(f"candidate: {candidate_path}")
+    differing = environment_differences(baseline, candidate)
+    if differing:
+        console(f"environment fingerprints differ in: {', '.join(differing)}")
+        for key, (base_value, cand_value) in differing.items():
+            console(f"  {key}: {base_value!r} (baseline) vs {cand_value!r} (candidate)")
+        console("refusing to compare timings from different environments")
+        return 2
     comparison = compare_reports(
-        load_report(baseline_path),
-        load_report(candidate_path),
+        baseline,
+        candidate,
         threshold=args.threshold,
         min_delta_s=args.min_delta,
     )
-    console(f"baseline:  {baseline_path}")
-    console(f"candidate: {candidate_path}")
     console(comparison.render())
     return 0 if comparison.ok else 1
 

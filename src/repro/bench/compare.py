@@ -16,18 +16,38 @@ regression slows every repeat including the fastest.  The absolute
 floor keeps microsecond-scale kernels from tripping on timer jitter.
 
 The CLI (``python -m repro.bench compare``) exits non-zero when any
-kernel regresses — that exit code is the CI gate.
+kernel regresses — that exit code is the CI gate.  Timings are only
+comparable on one host, so it refuses (exit 2) two reports whose
+environment fingerprints differ in any :data:`COMPARED_ENVIRONMENT`
+field (see :func:`environment_differences`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Tuple
 
 from .runner import validate_report
 
 DEFAULT_THRESHOLD = 0.5  # 50% median slowdown trips the gate
 DEFAULT_MIN_DELTA_S = 1e-4  # ...but only past 0.1 ms of absolute change
+#: Environment fields that change timings; reports differing in any of
+#: them were measured on different hosts/toolchains.
+COMPARED_ENVIRONMENT = ("python", "implementation", "machine", "numpy", "cpu_count")
+
+
+def environment_differences(
+    baseline: dict, candidate: dict
+) -> Dict[str, Tuple[object, object]]:
+    """``{field: (baseline value, candidate value)}`` for every
+    :data:`COMPARED_ENVIRONMENT` field whose values differ."""
+    base_env = baseline.get("environment") or {}
+    cand_env = candidate.get("environment") or {}
+    return {
+        key: (base_env.get(key), cand_env.get(key))
+        for key in COMPARED_ENVIRONMENT
+        if base_env.get(key) != cand_env.get(key)
+    }
 
 
 @dataclass

@@ -5,10 +5,17 @@ gathered with numpy stride tricks into a matrix, so the convolution
 becomes a single GEMM — the standard CPU implementation.  The backward
 pass scatters column gradients back with a small KH*KW loop (col2im).
 
+The API is NCHW (inputs, outputs, gradients) with OIHW filters, but the
+columns are built channels-last: windows are gathered from an NHWC
+padded buffer as ``(N, out_h, out_w, KH, KW, C_in)`` and multiplied by
+the filters permuted to ``(C_out, KH*KW*C_in)``.  A conv output is
+already an NCHW view of NHWC memory, so the next conv's padding copy is
+a block copy and each gathered window row is one contiguous run of
+``KW * C_in`` elements.
+
 Pooling is restricted to non-overlapping windows (``stride == kernel``),
 which covers the VGG (2x2/2 max pool) and ResNet-20 (8x8 global average)
 architectures used in the paper, and keeps both passes fully vectorised.
-All layouts are NCHW.
 """
 
 from __future__ import annotations
@@ -36,53 +43,48 @@ def conv2d_output_shape(
 
 
 def _im2col(
-    x: np.ndarray, kernel: int, stride: int
-) -> Tuple[np.ndarray, int, int]:
-    """Gather conv windows of a padded NCHW array.
+    x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Gather conv windows of a padded channels-last (NHWC) array.
 
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, out_h, out_w, C, kernel, kernel)`` (a strided view, no copy).
+    Returns a strided view (no copy) of shape
+    ``(N, out_h, out_w, KH, KW, C)``: the trailing ``KW * C`` elements of
+    each window row are one contiguous run of ``x``.
     """
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    # Direct window view: one as_strided call instead of
-    # sliding_window_view + stride slicing (the conv hot path is called
-    # once per layer per forward, so fixed per-call cost matters).
-    sn, sc, sh, sw = x.strides
-    windows = as_strided(
+    n, _, _, c = x.shape
+    sn, sh, sw, sc = x.strides
+    return as_strided(
         x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(n, out_h, out_w, kernel, kernel, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    # (N, C, out_h, out_w, KH, KW) -> (N, out_h, out_w, C, KH, KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5)
-    return cols, out_h, out_w
 
 
 def _col2im(
     dcols: np.ndarray,
-    input_shape: Tuple[int, int, int, int],
+    padded_shape: Tuple[int, int, int, int],
     kernel: int,
     stride: int,
 ) -> np.ndarray:
     """Adjoint of :func:`_im2col`: scatter-add column grads to an image.
 
-    ``dcols`` has shape ``(N, out_h, out_w, C, KH, KW)``; the result has
-    ``input_shape`` (the *padded* input shape).
+    ``dcols`` has shape ``(N, out_h, out_w, KH, KW, C)``; the result is a
+    channels-last array of the *padded* NHWC shape ``padded_shape``.
     """
-    n, c, h, w = input_shape
-    _, out_h, out_w, _, _, _ = dcols.shape
-    dx = np.zeros(input_shape, dtype=dcols.dtype)
-    # (N, C, KH, KW, out_h, out_w) so each (i, j) offset is a strided slice.
-    d = dcols.transpose(0, 3, 4, 5, 1, 2)
+    _, out_h, out_w = dcols.shape[:3]
+    dx = np.zeros(padded_shape, dtype=dcols.dtype)
     for i in range(kernel):
         row_end = i + stride * out_h
         for j in range(kernel):
             col_end = j + stride * out_w
-            dx[:, :, i:row_end:stride, j:col_end:stride] += d[:, :, i, j, :, :]
+            dx[:, i:row_end:stride, j:col_end:stride, :] += dcols[:, :, :, i, j, :]
     return dx
+
+
+def _weight_matrix(weight: np.ndarray) -> np.ndarray:
+    """OIHW filters as the ``(C_out, KH * KW * C_in)`` GEMM operand."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
 
 
 def conv2d(
@@ -102,6 +104,9 @@ def conv2d(
         Filters of shape ``(C_out, C_in, K, K)``.
     bias:
         Optional per-filter bias of shape ``(C_out,)``.
+
+    The output (and the input gradient) is an NCHW view of channels-last
+    memory, so a following conv reads its input as one block.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_w, kh, kw = weight.data.shape
@@ -112,42 +117,47 @@ def conv2d(
     if kh != kw:
         raise ValueError("only square kernels are supported")
     kernel = kh
+    out_h, out_w = conv2d_output_shape(h, w, kernel, stride, padding)
 
+    x_nhwc = x.data.transpose(0, 2, 3, 1)
     if padding:
         # Preallocate + slice-assign: cheaper than np.pad's general
-        # machinery, and a no-op allocation when padding == 0.
-        padded_shape = (n, c_in, h + 2 * padding, w + 2 * padding)
-        x_padded = np.zeros(padded_shape, dtype=x.data.dtype)
-        x_padded[:, :, padding:padding + h, padding:padding + w] = x.data
+        # machinery, and no allocation at all when padding == 0.
+        x_padded = np.zeros(
+            (n, h + 2 * padding, w + 2 * padding, c_in), dtype=x.data.dtype
+        )
+        x_padded[:, padding:padding + h, padding:padding + w, :] = x_nhwc
     else:
-        x_padded = x.data
-    cols, out_h, out_w = _im2col(x_padded, kernel, stride)
+        x_padded = x_nhwc
+    padded_shape = x_padded.shape
     # Pack the strided window view into one contiguous buffer; this single
     # copy feeds the forward GEMM and is reused verbatim by the
     # weight-gradient GEMM in backward.
-    mat_shape = (n * out_h * out_w, c_in * kernel * kernel)
-    cols_mat = np.ascontiguousarray(cols).reshape(mat_shape)
-    del cols  # drop the strided view; only the packed buffer stays alive
-    w_mat = weight.data.reshape(c_out, -1)
-    out = cols_mat @ w_mat.T
+    mat_shape = (n * out_h * out_w, kernel * kernel * c_in)
+    cols_mat = np.ascontiguousarray(
+        _im2col(x_padded, kernel, stride, out_h, out_w)
+    ).reshape(mat_shape)
+    del x_padded  # free the padded copy before the GEMM allocates
+    w_data = weight.data
+    out = cols_mat @ _weight_matrix(w_data).T
     if bias is not None:
         np.add(out, bias.data, out=out)  # GEMM output is fresh: add in place
     out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
-    padded_shape = x_padded.shape
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def bwd(g):
         # g: (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out)
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        dw = (g_mat.T @ cols_mat).reshape(weight.data.shape)
-        dcols_mat = g_mat @ w_mat
-        dcols = dcols_mat.reshape(n, out_h, out_w, c_in, kernel, kernel)
-        dx_padded = _col2im(dcols, padded_shape, kernel, stride)
+        dw = (g_mat.T @ cols_mat).reshape(c_out, kernel, kernel, c_in)
+        dw = dw.transpose(0, 3, 1, 2)
+        # Rebuilt rather than captured: a captured copy would stay alive
+        # once per recorded conv node until backward runs.
+        dcols_mat = g_mat @ _weight_matrix(w_data)
+        dcols = dcols_mat.reshape(n, out_h, out_w, kernel, kernel, c_in)
+        dx = _col2im(dcols, padded_shape, kernel, stride).transpose(0, 3, 1, 2)
         if padding:
-            dx = dx_padded[:, :, padding:-padding, padding:-padding]
-        else:
-            dx = dx_padded
+            dx = dx[:, :, padding:-padding, padding:-padding]
         if bias is None:
             return (dx, dw)
         db = g_mat.sum(axis=0)

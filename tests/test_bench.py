@@ -10,6 +10,8 @@ from repro import bench
 from repro.bench import (
     BenchCase,
     compare_reports,
+    environment_differences,
+    environment_fingerprint,
     find_baselines,
     iter_benches,
     load_report,
@@ -246,6 +248,23 @@ class TestCompare:
         assert comparison.added == ["new"]
         assert comparison.ok  # structural drift is reported, not gated
 
+    def test_environment_differences(self):
+        baseline = _small_report(k=0.01)
+        baseline["environment"] = environment_fingerprint()
+        candidate = copy.deepcopy(baseline)
+        candidate["environment"]["platform"] = "another kernel build"
+        assert environment_differences(baseline, candidate) == {}
+        candidate["environment"]["cpu_count"] = 64
+        candidate["environment"]["numpy"] = "0.0"
+        assert environment_differences(baseline, candidate) == {
+            "numpy": (baseline["environment"]["numpy"], "0.0"),
+            "cpu_count": (baseline["environment"]["cpu_count"], 64),
+        }
+        del candidate["environment"]
+        assert set(environment_differences(baseline, candidate)) == {
+            "python", "implementation", "machine", "numpy", "cpu_count",
+        }
+
     def test_bad_threshold_rejected(self):
         report = _small_report(k=1.0)
         with pytest.raises(ValueError):
@@ -297,6 +316,23 @@ class TestCli:
             "--candidate", str(tmp_path / "BENCH_1.json"),
             "--threshold", "0.05", "--min-delta", "0",
         ]) == 1
+
+    def test_compare_refuses_mixed_environments(self, tmp_path, capsys):
+        root = str(tmp_path)
+        baseline = _small_report(k=0.010)
+        baseline["environment"] = {"python": "3.11.7", "cpu_count": 1}
+        candidate = _small_report(k=0.100)
+        candidate["environment"] = {"python": "3.11.7", "cpu_count": 2}
+        write_report(baseline, str(tmp_path / "BENCH_0.json"))
+        write_report(candidate, str(tmp_path / "BENCH_1.json"))
+        # Refused (2) before any timing is gated, even a 10x slowdown.
+        assert bench_main(["--root", root, "compare"]) == 2
+        out = capsys.readouterr().out
+        assert "differ in: cpu_count" in out
+        assert "REGRESSED" not in out
+        candidate["environment"]["cpu_count"] = 1
+        write_report(candidate, str(tmp_path / "BENCH_1.json"))
+        assert bench_main(["--root", root, "compare"]) == 1
 
     def test_compare_needs_two_baselines(self, tmp_path):
         write_report(_small_report(k=1.0), str(tmp_path / "BENCH_0.json"))

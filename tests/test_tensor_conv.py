@@ -71,6 +71,65 @@ class TestConv2d:
             atol=1e-4,
         )
 
+    def test_matches_naive_on_conv_output_layout(self, rng):
+        # A conv output is an NCHW view of channels-last memory; a second
+        # conv must read that layout correctly.
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        w1 = Tensor(rng.normal(size=(5, 3, 3, 3)))
+        w2 = Tensor(rng.normal(size=(4, 5, 3, 3)))
+        hidden = conv2d(x, w1, None, stride=1, padding=1)
+        assert not hidden.data.flags.c_contiguous
+        assert hidden.data.transpose(0, 2, 3, 1).flags.c_contiguous
+        for stride, padding in [(1, 1), (2, 1), (1, 0)]:
+            out = conv2d(hidden, w2, None, stride=stride, padding=padding)
+            expected = naive_conv2d(hidden.data, w2.data, None, stride, padding)
+            np.testing.assert_allclose(out.data, expected, atol=1e-10)
+
+    def test_matches_naive_on_batch_slice(self, rng):
+        full = rng.normal(size=(6, 3, 7, 7))
+        x = Tensor(full[1::2])  # strided batch slice, not contiguous
+        assert not x.data.flags.c_contiguous
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        b = Tensor(rng.normal(size=(4,)))
+        for stride, padding in [(1, 1), (2, 0)]:
+            out = conv2d(x, w, b, stride=stride, padding=padding)
+            expected = naive_conv2d(x.data, w.data, b.data, stride, padding)
+            np.testing.assert_allclose(out.data, expected, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "kernel,stride,padding", [(3, 2, 1), (3, 3, 2), (1, 2, 0)]
+    )
+    def test_gradients_strided(self, rng, kernel, stride, padding):
+        # (1, 2, 0) is the ResNet 1x1 stride-2 shortcut.  A random
+        # upstream weighting makes every output position's gradient
+        # distinct, so a transposed layout cannot pass by symmetry.
+        x = Tensor(rng.normal(size=(2, 3, 7, 7)), requires_grad=True)
+        w = Tensor(
+            rng.normal(size=(4, 3, kernel, kernel)) * 0.3, requires_grad=True
+        )
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        out_hw = conv2d_output_shape(7, 7, kernel, stride, padding)
+        weighting = Tensor(rng.normal(size=(2, 4) + out_hw))
+        check_gradients(
+            lambda a, ww, bb: conv2d(a, ww, bb, stride=stride, padding=padding)
+            * weighting,
+            [x, w, b],
+            atol=1e-4,
+        )
+
+    @pytest.mark.parametrize("size", [2, 1])
+    def test_kernel_larger_than_padded_input_raises(self, rng, size):
+        # size 2: the kernel is one larger than the input (empty output);
+        # size 1: two larger (negative output size).
+        x = Tensor(rng.normal(size=(1, 1, size, size)))
+        w = Tensor(rng.normal(size=(1, 1, 3, 3)))
+        with pytest.raises(ValueError, match="empty output"):
+            conv2d(x, w)
+        x = Tensor(rng.normal(size=(1, 1, size, size)))
+        w = Tensor(rng.normal(size=(1, 1, 5, 5)))
+        with pytest.raises(ValueError, match="empty output"):
+            conv2d(x, w, padding=1)
+
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.normal(size=(1, 3, 5, 5)))
         w = Tensor(rng.normal(size=(2, 4, 3, 3)))
