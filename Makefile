@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke faults-smoke profile-smoke exec-smoke exec-obs-smoke runs-gc examples clean
+.PHONY: install test bench bench-check bench-baseline microbench quicktest smoke profile-smoke runs-gc examples clean
 
 install:
 	python setup.py develop
@@ -11,12 +11,16 @@ test:
 quicktest:
 	pytest tests/ --ignore=tests/test_experiment_drivers.py -q
 
+# BLAS pinned to one thread, as perfbench/run.py does: a multi-threaded
+# BLAS on a small shared host flips the conv kernels between timing modes.
+BENCH_ENV = OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=src
+
 # Hot-kernel benchmarks + regression gate: time the registered benches
 # into a scratch report and fail if any kernel's median regressed past
 # the threshold vs the latest committed BENCH_<seq>.json baseline.
 bench:
 	@mkdir -p results
-	PYTHONPATH=src python -m repro.bench run --out results/bench_current.json
+	$(BENCH_ENV) python -m repro.bench run --out results/bench_current.json
 	PYTHONPATH=src python -m repro.bench compare --candidate results/bench_current.json
 
 # Run the suite now and gate against the newest committed baseline —
@@ -24,47 +28,24 @@ bench:
 # `bench`, kept as its own name so CI scripts read as intent.
 bench-check:
 	@mkdir -p results
-	PYTHONPATH=src python -m repro.bench run --out results/bench_check.json --quiet
+	$(BENCH_ENV) python -m repro.bench run --out results/bench_check.json --quiet
 	PYTHONPATH=src python -m repro.bench compare --candidate results/bench_check.json
 
 # Record a new committed baseline point (BENCH_<next seq>.json).
 bench-baseline:
-	PYTHONPATH=src python -m repro.bench run
+	$(BENCH_ENV) python -m repro.bench run
 
 # The same bench definitions through pytest-benchmark (rich statistics).
 microbench:
 	pytest benchmarks/test_microbench.py --benchmark-only -s
 
-# Tiny instrumented convert+evaluate pipeline; fails unless a non-empty
-# trace with the expected spans, spike-rate histograms, conversion
-# drift records and energy gauges is produced, the run registers in the
-# run registry, an identical-seed self-diff is regression-free, and
-# `dashboard --once` renders deterministically.  Runs the
-# fault-tolerance smoke first, then the op-profiled variant (a
-# strict superset of the plain pipeline assertions), then the
-# parallel-executor supervision smoke, and finally the
-# distributed-observability (worker telemetry) smoke.
-smoke: faults-smoke profile-smoke exec-smoke exec-obs-smoke
-
-# Parallel-execution check: map/reduce results must be bitwise
-# identical at workers 1/2/4, survive a deterministic chaos worker
-# kill unchanged, quarantine a poison task into an explicit partial
-# result, degrade to serial on an unavailable start method, and keep
-# an identical-seed obs diff clean between a clean and a chaos-killed
-# parallel fault sweep (cross-worker-count diffs flag the executor
-# config informationally, never as a gate).
-exec-smoke:
-	PYTHONPATH=src python -m repro.exec.smoke
-
-# Distributed-observability check: an observed instrumented map must
-# produce a schema-valid merged worker_telemetry.jsonl that is bitwise
-# identical at workers 1/2/4, worker spans must stitch under the
-# exec.map dispatch span, an observed 4-worker fault sweep must match
-# a serial observed run on every aggregate counter, a chaos worker
-# kill mid-telemetry-write must leave payload and canonical bytes
-# unchanged, and the obs diffs must stay clean/informational.
-exec-obs-smoke:
-	PYTHONPATH=src python -m repro.exec.obs_smoke
+# Tiny instrumented convert+evaluate pipeline, run twice with the op
+# profiler on; fails unless a non-empty trace with the expected spans,
+# spike-rate histograms, conversion drift records and energy gauges is
+# produced, the run registers in the run registry, an identical-seed
+# self-diff is regression-free, and `dashboard --once` renders
+# deterministically.
+smoke: profile-smoke
 
 # The same smoke pipeline with the op profiler on: both runs must write
 # profile.jsonl + a repro.obs.profile/v1 summary with per-layer
@@ -78,12 +59,6 @@ profile-smoke:
 # are gone and keep only the 20 newest runs (the baseline always stays).
 runs-gc:
 	PYTHONPATH=src python -m repro.obs runs gc --keep 20
-
-# Deterministic fault-injection + NonFiniteGuard recovery check:
-# null-spec bitwise identity in both execution modes, seeded fault
-# reproducibility, fault telemetry, and guarded NaN recovery.
-faults-smoke:
-	PYTHONPATH=src python -m repro.faults.smoke
 
 examples:
 	python examples/quickstart.py

@@ -17,12 +17,6 @@ from .ablation import (
 )
 from .config import SCALES, ExperimentConfig, ScalePreset, get_scale
 from .context import ExperimentContext, clear_context_cache, get_context
-from .fault_sweep import (
-    DEFAULT_LADDERS,
-    build_fault_spec,
-    render_fault_sweep,
-    run_fault_sweep,
-)
 from .fig1 import render_fig1, run_fig1
 from .fig2 import render_fig2, run_fig2
 from .fig3 import render_fig3, run_fig3
@@ -64,13 +58,9 @@ __all__ = [
     "PipelineResult",
     "SCALES",
     "ScalePreset",
-    "DEFAULT_LADDERS",
-    "build_fault_spec",
     "clear_context_cache",
     "clear_pipeline_cache",
     "convert_only",
-    "render_fault_sweep",
-    "run_fault_sweep",
     "format_table",
     "get_context",
     "get_scale",

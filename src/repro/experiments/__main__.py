@@ -10,13 +10,12 @@ Regenerate any paper table/figure from the shell:
     python -m repro.experiments fig4 --dataset cifar100
     python -m repro.experiments ablation
     python -m repro.experiments robustness --arch vgg11
-    python -m repro.experiments faults --arch vgg11 --workers 4
-    python -m repro.experiments multiseed --seeds 0 1 2 --workers 4
+    python -m repro.experiments multiseed --seeds 0 1 2 --workers 2
     python -m repro.experiments report          # results/*.json -> REPORT.md
 
-``--workers N`` shards the fault sweep, the multiseed sweep, and
-Algorithm 1's per-layer search over N supervised worker processes
-(``repro.exec``); results are bitwise identical to ``--workers 1``.
+``--workers N`` runs the multiseed sweep's seeds in N forked processes;
+results are bitwise identical to ``--workers 1``.  It cannot be combined
+with ``--trace``: forked workers would write into the run's sinks.
 
 Results print as the paper-style tables and are archived under
 ``results/`` as JSON.
@@ -31,11 +30,9 @@ from ..obs import console
 from ..obs import shutdown as obs_shutdown
 
 from . import (
-    render_fault_sweep,
     render_fig1,
     render_noise_robustness,
     render_seed_sweep,
-    run_fault_sweep,
     run_noise_robustness,
     seed_sweep,
     render_fig2,
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
         "experiment",
         choices=[
             "table1", "table2", "fig1", "fig2", "fig3", "fig4",
-            "ablation", "robustness", "faults", "multiseed", "report",
+            "ablation", "robustness", "multiseed", "report",
         ],
     )
     parser.add_argument("--scale", default="bench", choices=["tiny", "bench", "full"])
@@ -80,14 +77,9 @@ def main(argv=None) -> int:
     parser.add_argument("--timesteps", type=int, default=2,
                         help="SNN timesteps for the multiseed sweep")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="shard parallelisable work (fault sweep, "
-                             "multiseed, Algorithm 1's per-layer search) "
-                             "over N worker processes; results are "
-                             "bitwise identical to --workers 1")
-    parser.add_argument("--no-worker-telemetry", action="store_true",
-                        help="keep worker observability quiesced even under "
-                             "--trace (no worker_telemetry.jsonl, no "
-                             "cross-process spans)")
+                        help="run the multiseed sweep's seeds in N "
+                             "forked processes; results are bitwise "
+                             "identical to --workers 1")
     parser.add_argument("--no-save", action="store_true",
                         help="skip writing results/<experiment>.json")
     parser.add_argument("--trace", metavar="RUN_DIR", default=None,
@@ -107,42 +99,35 @@ def main(argv=None) -> int:
         parser.error("--profile requires --trace RUN_DIR")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
+    if args.workers > 1 and args.experiment != "multiseed":
+        parser.error("--workers applies only to the multiseed sweep")
+    if args.workers > 1 and args.trace:
+        parser.error("--workers > 1 cannot be combined with --trace: "
+                     "forked workers would write into the run's sinks")
 
-    # Install the ambient executor before obs_configure so the run
-    # registry's environment fingerprint records the worker config and
-    # cross-worker-count diffs can be flagged.
-    from ..exec import ParallelExecutor, executor_scope
-
-    telemetry = False if args.no_worker_telemetry else None
-    executor = (
-        ParallelExecutor(workers=args.workers, telemetry=telemetry)
-        if args.workers > 1
-        else None
-    )
-    with executor_scope(executor):
+    if args.trace:
+        obs_configure(
+            run_dir=args.trace,
+            profile=args.profile,
+            experiment=args.experiment,
+            arch=args.arch,
+            dataset=args.dataset,
+            scale=args.scale,
+            seed=args.seed,
+        )
+    status = "error"
+    try:
+        code = _run(args)
+        status = "completed"
+        return code
+    finally:
         if args.trace:
-            obs_configure(
-                run_dir=args.trace,
-                profile=args.profile,
-                experiment=args.experiment,
-                arch=args.arch,
-                dataset=args.dataset,
-                scale=args.scale,
-                seed=args.seed,
-            )
-        status = "error"
-        try:
-            code = _run(args)
-            status = "completed"
-            return code
-        finally:
-            if args.trace:
-                if args.tag_baseline:
-                    from . import pipeline as _pipeline
+            if args.tag_baseline:
+                from . import pipeline as _pipeline
 
-                    _pipeline._tag_run_as_baseline()
-                obs_shutdown(status=status)
-                console(f"trace written to {args.trace}")
+                _pipeline._tag_run_as_baseline()
+            obs_shutdown(status=status)
+            console(f"trace written to {args.trace}")
 
 
 def _run(args) -> int:
@@ -190,13 +175,6 @@ def _run(args) -> int:
         )
         console(render_noise_robustness(result))
         payload = result
-    elif args.experiment == "faults":
-        result = run_fault_sweep(
-            arch=args.arch, dataset=args.dataset,
-            scale_name=args.scale, seed=args.seed,
-        )
-        console(render_fault_sweep(result))
-        payload = result
     elif args.experiment == "multiseed":
         from .config import ExperimentConfig, get_scale
 
@@ -206,7 +184,7 @@ def _run(args) -> int:
             seed=args.seed,
         )
         seeds = args.seeds if args.seeds is not None else [0, 1, 2]
-        sweep = seed_sweep(config, seeds)
+        sweep = seed_sweep(config, seeds, workers=args.workers)
         console(render_seed_sweep(sweep))
         payload = {
             "arch": args.arch,
@@ -216,8 +194,6 @@ def _run(args) -> int:
             "dnn": sweep.dnn,
             "conversion": sweep.conversion,
             "snn": sweep.snn,
-            "status": sweep.status,
-            "failed_seeds": sweep.failed_seeds,
             "summary": sweep.summary(),
         }
     else:

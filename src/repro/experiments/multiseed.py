@@ -9,34 +9,26 @@ record of the proposed conversion against a baseline strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+import multiprocessing
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .. import obs
 from .config import ExperimentConfig
 from .pipeline import run_pipeline
 
 
 @dataclass
 class SeedSweepResult:
-    """Aggregated accuracies over a seed sweep.
-
-    ``failed_seeds`` lists seeds whose parallel task could not complete
-    (quarantined / exhausted retries); their accuracies are excluded
-    from the aggregation and the sweep is reported ``partial``.
-    """
+    """Aggregated accuracies over a seed sweep."""
 
     config: ExperimentConfig
     seeds: List[int]
     dnn: List[float]
     conversion: List[float]
     snn: List[float]
-    failed_seeds: List[Dict] = field(default_factory=list)
-
-    @property
-    def status(self) -> str:
-        return "partial" if self.failed_seeds else "ok"
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         out = {}
@@ -68,57 +60,40 @@ def seed_sweep(
     strategy: str = "proposed",
     fine_tune: bool = True,
     workers: int = 1,
-    executor=None,
 ) -> SeedSweepResult:
     """Run the pipeline once per seed and collect the three accuracies.
 
-    ``workers > 1`` (or an explicit :class:`repro.exec.ParallelExecutor`)
-    fans the per-seed pipelines out across worker processes.  Every
-    pipeline stage is seeded, so per-seed results are bitwise identical
-    to the serial sweep; they are assembled back in seed-list order
-    regardless of completion order.  Seeds whose task fails terminally
-    are dropped into ``failed_seeds`` rather than aborting the sweep.
+    ``workers > 1`` runs the per-seed pipelines in a pool of forked
+    processes.  Every pipeline stage is seeded and ``Pool.map`` returns
+    results in seed-list order, so the sweep is bitwise identical to
+    the serial one.  A failing seed raises, as it does serially.
+    Forked workers would write into the parent's observability sinks,
+    so ``workers > 1`` is refused while :mod:`repro.obs` is enabled.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-
-    if executor is None and workers > 1:
-        from ..exec import ParallelExecutor
-
-        executor = ParallelExecutor(workers=workers)
-    if executor is None:
-        from ..exec import ambient_executor
-
-        executor = ambient_executor()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers > 1 and obs.is_enabled():
+        raise ValueError(
+            "seed_sweep(workers > 1) cannot run while repro.obs is enabled: "
+            "forked workers would write into the run's sinks"
+        )
 
     seed_list = [int(s) for s in seeds]
-    failed: List[Dict] = []
-    if executor is not None and executor.workers > 1 and len(seed_list) > 1:
-        payloads = [(config, seed, strategy, fine_tune) for seed in seed_list]
-        outcome = executor.map(_seed_task, payloads, label="multiseed")
-        triples: List[Optional[Tuple[float, float, float]]] = list(outcome.results)
-        failed = [
-            {**failure.as_dict(), "seed": seed_list[index]}
-            for index, failure in sorted(outcome.failures.items())
-        ]
-        if all(t is None for t in triples):
-            from ..exec import ExecutorError
-
-            raise ExecutorError(
-                f"seed sweep lost every seed: {[f['seed'] for f in failed]}"
-            )
+    payloads = [(config, seed, strategy, fine_tune) for seed in seed_list]
+    if workers > 1 and len(payloads) > 1:
+        context = multiprocessing.get_context("fork")
+        with context.Pool(min(workers, len(payloads))) as pool:
+            triples = pool.map(_seed_task, payloads)
     else:
-        triples = [_seed_task((config, seed, strategy, fine_tune)) for seed in seed_list]
+        triples = [_seed_task(payload) for payload in payloads]
 
-    kept = [seed for seed, t in zip(seed_list, triples) if t is not None]
-    values = [t for t in triples if t is not None]
-    dnn = [t[0] for t in values]
-    conversion = [t[1] for t in values]
-    snn = [t[2] for t in values]
     return SeedSweepResult(
-        config=config, seeds=kept,
-        dnn=dnn, conversion=conversion, snn=snn,
-        failed_seeds=failed,
+        config=config, seeds=seed_list,
+        dnn=[t[0] for t in triples],
+        conversion=[t[1] for t in triples],
+        snn=[t[2] for t in triples],
     )
 
 
@@ -139,7 +114,7 @@ def render_seed_sweep(result: SeedSweepResult) -> str:
             f"{summary['conversion'][stat]:.2f}",
             f"{summary['snn'][stat]:.2f}",
         ])
-    table = format_table(
+    return format_table(
         ["seed", "DNN %", "converted %", "fine-tuned %"],
         rows,
         title=(
@@ -147,13 +122,6 @@ def render_seed_sweep(result: SeedSweepResult) -> str:
             f"T={config.timesteps} ({len(result.seeds)} seeds)"
         ),
     )
-    if result.failed_seeds:
-        lines = [
-            f"  seed {f['seed']}: {f['kind']} ({f['message']})"
-            for f in result.failed_seeds
-        ]
-        table += "\n\nPARTIAL SWEEP: failed seeds\n" + "\n".join(lines)
-    return table
 
 
 def strategy_win_rate(

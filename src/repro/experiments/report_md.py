@@ -157,44 +157,8 @@ def _fig4_section(payloads: Dict[str, dict]) -> Optional[str]:
     return "## Fig. 4 — spikes / FLOPs / energy\n\n" + "\n\n".join(sections)
 
 
-def _faults_section(payloads: Dict[str, dict]) -> Optional[str]:
-    sections = []
-    for key, payload in sorted(payloads.items()):
-        if not (key.startswith("fault_sweep") or key.startswith("cli_faults")):
-            continue
-        timesteps = payload.get("timesteps", "?")
-        for curve in payload.get("curves", []):
-            body = []
-            for i, level in enumerate(curve["levels"]):
-                severity = (
-                    "none" if level is None
-                    else f"{level} bits" if curve["fault"] == "quantization"
-                    else level
-                )
-                dnn = curve["dnn"][i] if curve["dnn"] is not None else "-"
-                body.append(
-                    [severity, dnn, curve["converted"][i], curve["finetuned"][i]]
-                )
-            sections.append(
-                f"### {curve['fault']} "
-                f"({payload.get('arch', '?')}, {payload.get('dataset', '?')})\n\n"
-                + _md_table(
-                    ["severity", "DNN %", f"converted (T={timesteps}) %",
-                     f"fine-tuned (T={timesteps}) %"],
-                    body,
-                )
-            )
-    if not sections:
-        return None
-    return (
-        "## Fault tolerance — accuracy vs fault severity\n\n"
-        + "\n\n".join(sections)
-    )
-
-
 _KNOWN_PREFIXES = (
     "table1_", "table2_", "fig2_", "fig3_", "fig4_",
-    "fault_sweep", "cli_faults",
 )
 
 
@@ -205,7 +169,7 @@ def generate_report(
     payloads = _load(directory)
     sections = [f"# {title}"]
     for builder in (_table1_section, _table2_section, _fig2_section,
-                    _fig3_section, _fig4_section, _faults_section):
+                    _fig3_section, _fig4_section):
         section = builder(payloads)
         if section:
             sections.append(section)

@@ -27,66 +27,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import IO, Callable, List, Optional, Tuple
+from typing import IO, List, Optional, Tuple
 
 _RUN_COUNTER = 0
-
-# ----------------------------------------------------------------------
-# Capture sink (cross-process telemetry, :mod:`repro.obs.remote`)
-# ----------------------------------------------------------------------
-# When a sink is installed, every record produced by this module (and by
-# the other channels that route through :func:`capture` — health alerts,
-# fault events) is offered to it *before* the normal path.  The sink
-# returns ``True`` to consume the record (executor workers, which must
-# never touch the parent's files) or ``False`` to let it continue down
-# the normal path (the serial tee, which only mirrors records into the
-# canonical worker-telemetry stream).
-_SINK: Optional[Callable[[str, dict], bool]] = None
-_SUSPENDED = 0
-
-
-def set_capture_sink(sink: Optional[Callable[[str, dict], bool]]) -> None:
-    """Install (or with ``None`` remove) the telemetry capture sink."""
-    global _SINK
-    _SINK = sink
-
-
-def capture_sink() -> Optional[Callable[[str, dict], bool]]:
-    """The installed capture sink, or ``None``."""
-    return _SINK
-
-
-def capture(kind: str, record: dict) -> bool:
-    """Offer ``record`` to the capture sink; ``True`` means consumed."""
-    if _SINK is None or _SUSPENDED:
-        return False
-    return bool(_SINK(kind, record))
-
-
-def capture_suspended() -> bool:
-    """Is capture temporarily paused (:class:`suspend_capture`)?"""
-    return _SUSPENDED > 0
-
-
-class suspend_capture:
-    """Exclude a block from telemetry capture (re-entrant).
-
-    Used around per-worker environment setup (e.g. a worker's lazy
-    dataset build) whose telemetry would otherwise make the merged
-    stream depend on the worker count: serial execution sets up once,
-    N workers set up N times.  Records emitted under suspension follow
-    the process-local path only and never reach the merged artefacts,
-    so suspended blocks should not write run-level metrics.
-    """
-
-    def __enter__(self) -> "suspend_capture":
-        global _SUSPENDED
-        _SUSPENDED += 1
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        global _SUSPENDED
-        _SUSPENDED -= 1
 
 
 class ObsState:
@@ -310,8 +253,6 @@ def emit_event(record: dict) -> None:
         return
     if _STATE.context:
         record = {**_STATE.context, **record}
-    if capture("event", record):
-        return
     _buffer(_STATE.events, record)
     _write_line(_STATE._events_fp, record)
 
@@ -322,7 +263,5 @@ def emit_span(record: dict) -> None:
         return
     if _STATE.context:
         record = {**_STATE.context, **record}
-    if capture("span", record):
-        return
     _buffer(_STATE.spans, record)
     _write_line(_STATE._trace_fp, record)

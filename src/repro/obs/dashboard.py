@@ -4,12 +4,12 @@
     python -m repro.obs dashboard results/run_2/ --once     # one deterministic frame
 
 The dashboard *tails* the run's JSONL artefacts — ``events.jsonl``,
-``trace.jsonl``, ``alerts.jsonl``, ``drift.jsonl``, ``faults.jsonl``,
-``profile.jsonl`` — through :class:`JsonlTailer`, which only ever
-consumes complete lines: a line still being written by the observed
-process (no trailing newline yet) is left for the next poll, and
-malformed lines are skipped and counted, never fatal.  ``metrics.json``
-is re-read whole on each refresh when present.
+``trace.jsonl``, ``alerts.jsonl``, ``drift.jsonl``, ``profile.jsonl``
+— through :class:`JsonlTailer`, which only ever consumes complete
+lines: a line still being written by the observed process (no trailing
+newline yet) is left for the next poll, and malformed lines are skipped
+and counted, never fatal.  ``metrics.json`` is re-read whole on each
+refresh when present.
 
 One frame shows:
 
@@ -109,13 +109,12 @@ class DashboardState:
         self.spans = JsonlTailer(os.path.join(run_dir, "trace.jsonl"))
         self.health = JsonlTailer(os.path.join(run_dir, "alerts.jsonl"))
         self.drift = JsonlTailer(os.path.join(run_dir, "drift.jsonl"))
-        self.faults = JsonlTailer(os.path.join(run_dir, "faults.jsonl"))
         self.profile = JsonlTailer(os.path.join(run_dir, "profile.jsonl"))
         self.metrics: dict = {}
 
     def refresh(self) -> None:
         for tailer in (self.events, self.spans, self.health,
-                       self.drift, self.faults, self.profile):
+                       self.drift, self.profile):
             tailer.poll()
         path = os.path.join(self.run_dir, "metrics.json")
         try:
@@ -179,23 +178,6 @@ class DashboardState:
             if rates:
                 return [rates[k] for k in sorted(rates)]
         return None
-
-    def worker_rows(self) -> List[dict]:
-        """Per-worker task/failure lanes (``exec.worker_*{worker=N}``)."""
-        counters = (self.metrics or {}).get("counters") or {}
-        rows: Dict[int, dict] = {}
-        for field in ("worker_tasks", "worker_failures"):
-            prefix = f"exec.{field}{{worker="
-            for name, value in counters.items():
-                if not name.startswith(prefix) or not name.endswith("}"):
-                    continue
-                try:
-                    worker = int(name[len(prefix):-1])
-                except ValueError:
-                    continue
-                if isinstance(value, (int, float)):
-                    rows.setdefault(worker, {})[field] = float(value)
-        return [dict(row, worker=worker) for worker, row in sorted(rows.items())]
 
     def alerts(self) -> List[dict]:
         return [r for r in self.health.records if r.get("kind") == "alert"]
@@ -276,11 +258,9 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
     counts = (
         f" events {len(state.events.records)}  spans {len(state.spans.records)}"
         f"  alerts {len(state.alerts())}  drift {len(state.drift.records)}"
-        f"  faults {len(state.faults.records)}"
     )
     skipped = sum(t.skipped for t in (state.events, state.spans, state.health,
-                                      state.drift, state.faults,
-                                      state.profile))
+                                      state.drift, state.profile))
     if skipped:
         counts += f"  (skipped {skipped} malformed line(s))"
     lines.append(counts)
@@ -311,21 +291,6 @@ def render_frame(state: DashboardState, width: int = 80) -> str:
     else:
         lines.append("   (no spike-rate telemetry yet)")
     lines.append(rule)
-
-    workers = state.worker_rows()
-    if workers:
-        lines.append(" worker lanes (tasks / failures)")
-        peak = max(max(r.get("worker_tasks", 0.0) for r in workers), 1e-12)
-        for row in workers:
-            tasks = row.get("worker_tasks", 0.0)
-            failures = row.get("worker_failures", 0.0)
-            marker = "!" if failures else " "
-            lines.append(
-                f"  {marker}W{row['worker']:<3}"
-                f"{hbar(tasks / peak, max(10, width - 36))} "
-                f"{tasks:g} tasks, {failures:g} failed"
-            )
-        lines.append(rule)
 
     alerts = state.alerts()
     lines.append(f" alerts ({len(alerts)})")

@@ -15,7 +15,6 @@ Aligned series
   **histograms** (count and mean) from ``metrics.json``;
 - per-layer **conversion drift** (``measured_gap`` / ``predicted_gap``
   at each run's latest snapshot) from ``drift.jsonl``;
-- **fault events** per fault type from ``faults.jsonl``;
 - **health alerts** per rule from ``alerts.jsonl``;
 - **span timings** aggregated per span name from ``trace.jsonl`` —
   reported for context but *never* gated: wall-clock differs between
@@ -29,7 +28,7 @@ Direction semantics
 -------------------
 Each aligned quantity has a direction inferred from its name:
 ``accuracy``-like metrics regress when they *drop*, ``loss`` / ``gap``
-/ fault / alert counts when they *rise*, and everything else (spike
+/ alert counts when they *rise*, and everything else (spike
 counts, thresholds, energy estimates, ...) when it *changes* at all —
 two same-seed runs of this deterministic substrate must agree exactly,
 so any significant unexplained difference is a finding.  A delta is
@@ -53,19 +52,10 @@ DEFAULT_ATOL = 1e-9
 #: change regresses, "skip" = informational only (never gated).
 _UP_RE = re.compile(r"accuracy|improvement")
 _DOWN_RE = re.compile(
-    r"loss|gap|residual|faults\.|fault:|alerts|error|spikes_dropped|retries"
+    r"loss|gap|residual|alerts|error|spikes_dropped|retries"
 )
-# ``exec.*`` executor telemetry (dispatch/retry/crash/restart counts,
-# pool timings) is scheduling noise by design: a chaos run that killed
-# and replaced a worker must still diff clean against an undisturbed
-# run, because the *results* are bitwise identical.  The same goes for
-# the ``exec:`` worker-telemetry stream series and the ``exec_*``
-# health-alert rules the executor raises.  The informational
-# env:executor.* rows (from the run registry's environment fingerprint)
-# flag cross-worker-count comparisons instead.
 _SKIP_RE = re.compile(
     r"seconds|duration_s|\.ts$|wall|span:|bench\.|memory|bytes|profile:"
-    r"|exec[.:_]"
 )
 
 
@@ -85,7 +75,7 @@ class Delta:
     """One aligned quantity's baseline-vs-candidate comparison."""
 
     name: str
-    kind: str  # counter | gauge | histogram | drift | fault | alert | span
+    kind: str  # counter | gauge | histogram | drift | alert | span
     baseline: Optional[float]
     candidate: Optional[float]
     direction: str
@@ -230,13 +220,6 @@ def extract_series(data: RunData) -> Dict[str, Tuple[str, float]]:
                 if isinstance(value, (int, float)):
                     series[f"drift:{key}{{layer={layer}}}"] = ("drift", float(value))
 
-    by_fault: Dict[str, int] = {}
-    for fault in data.faults:
-        name = str(fault.get("fault", "?"))
-        by_fault[name] = by_fault.get(name, 0) + 1
-    for name, count in by_fault.items():
-        series[f"fault:{name}.events"] = ("fault", float(count))
-
     by_rule: Dict[str, int] = {}
     for alert in data.alerts:
         rule = str(alert.get("rule", "?"))
@@ -273,21 +256,6 @@ def extract_series(data: RunData) -> Dict[str, Tuple[str, float]]:
     for name, total in by_span.items():
         series[f"span:{name}.total_s"] = ("span", total)
 
-    # Worker-telemetry stream shape: per-kind record counts from the
-    # canonical merged ``worker_telemetry.jsonl``.  The ``exec:`` prefix
-    # matches _SKIP_RE, so these align but never gate — executor
-    # scheduling (and whether telemetry capture was on at all)
-    # legitimately varies between otherwise-identical runs.
-    by_kind: Dict[str, int] = {}
-    for record in getattr(data, "worker_telemetry", []) or []:
-        kind = str(record.get("kind", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-    for kind, count in by_kind.items():
-        series[f"exec:telemetry.{kind}.records"] = ("exec", float(count))
-    if by_kind:
-        series["exec:telemetry.records"] = (
-            "exec", float(sum(by_kind.values()))
-        )
     return series
 
 
@@ -334,7 +302,7 @@ def diff_runs(
             ))
         elif in_cand:
             # New series.  A new lower-is-better series with a non-zero
-            # value (fault events, alerts) is a regression; anything
+            # value (alerts) is a regression; anything
             # else is new instrumentation and stays informational.
             value = cand_series[name][1]
             regressed = direction == "down" and abs(value) > atol
@@ -357,78 +325,16 @@ def diff_runs(
     return diff
 
 
-def _registered_executor_config(run_dir: str) -> Optional[dict]:
-    """Best-effort registry lookup of a run's executor fingerprint."""
-    import os
-
-    try:
-        from .registry import RunRegistry
-
-        target = os.path.abspath(run_dir)
-        for run in reversed(RunRegistry().runs()):
-            if run.get("run_dir") == target:
-                environment = run.get("environment") or {}
-                executor = environment.get("executor")
-                return dict(executor) if isinstance(executor, dict) else {}
-    except Exception:
-        pass
-    return None
-
-
-def _executor_env_deltas(baseline_dir: str, candidate_dir: str) -> List[Delta]:
-    """Informational rows when the runs used different executor configs.
-
-    Results are worker-count-independent by contract, but traces and
-    telemetry legitimately differ between serial and parallel runs —
-    so a cross-worker-count comparison deserves a visible (never
-    gating) flag rather than a silent alignment.
-    """
-    base = _registered_executor_config(baseline_dir)
-    cand = _registered_executor_config(candidate_dir)
-    if base is None and cand is None:
-        return []
-    base = base or {}
-    cand = cand or {}
-    deltas: List[Delta] = []
-    defaults = {"workers": 1, "start_method": "serial", "telemetry": "auto"}
-    for key in ("workers", "start_method", "telemetry"):
-        base_value = base.get(key, defaults[key])
-        cand_value = cand.get(key, defaults[key])
-        if base_value == cand_value:
-            continue
-        numeric = isinstance(base_value, (int, float)) and isinstance(
-            cand_value, (int, float)
-        )
-        deltas.append(Delta(
-            name=f"env:executor.{key}",
-            kind="env",
-            baseline=float(base_value) if numeric else None,
-            candidate=float(cand_value) if numeric else None,
-            direction="skip",
-            significant=False,
-            regressed=False,
-            note=f"informational: {base_value} vs {cand_value}",
-        ))
-    return deltas
-
-
 def diff_run_dirs(
     baseline_dir: str,
     candidate_dir: str,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> RunDiff:
-    """Load two run directories and diff them.
-
-    On top of the series alignment, cross-worker-count comparisons
-    (detected from the run registry's environment fingerprint) add
-    informational ``env:executor.*`` rows that never gate.
-    """
-    diff = diff_runs(
+    """Load two run directories and diff them."""
+    return diff_runs(
         load_run(baseline_dir), load_run(candidate_dir), rtol=rtol, atol=atol
     )
-    diff.deltas.extend(_executor_env_deltas(baseline_dir, candidate_dir))
-    return diff
 
 
 def main(argv=None) -> int:

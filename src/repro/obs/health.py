@@ -35,7 +35,7 @@ from typing import IO, Dict, List, Optional, Sequence
 import numpy as np
 
 from . import metrics as obs_metrics
-from .core import _STATE, capture, is_enabled
+from .core import _STATE, is_enabled
 from .metrics import MetricsRegistry
 
 ALERTS_FILENAME = "alerts.jsonl"
@@ -82,10 +82,10 @@ class HealthConfig:
 class HealthMonitor:
     """Evaluates the health rules over one training run's epoch stream.
 
-    Parameters follow the telemetry convention (:class:`DriftMonitor`,
-    :class:`FaultTelemetry`): ``registry`` defaults to the global one
-    (which only records while observability is enabled), ``run_dir``
-    defaults to the active observed run's directory.  ``alerts.jsonl``
+    Parameters follow the telemetry convention (:class:`DriftMonitor`):
+    ``registry`` defaults to the global one (which only records while
+    observability is enabled), ``run_dir`` defaults to the active
+    observed run's directory.  ``alerts.jsonl``
     is opened lazily on the first record, so a healthy run leaves no
     empty file behind.
     """
@@ -115,7 +115,6 @@ class HealthMonitor:
         self._plateau_active: Dict[str, bool] = {}
         self._saturated: Dict[str, bool] = {}
         self._exploded: Dict[str, bool] = {}
-        self._exec_active: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     def _record_metrics(self) -> bool:
@@ -124,8 +123,6 @@ class HealthMonitor:
     def _write(self, record: dict) -> None:
         if len(self.records) < _MAX_RECORDS:
             self.records.append(record)
-        if capture("alert", record):
-            return
         if self._fp is None and self.run_dir is not None:
             os.makedirs(self.run_dir, exist_ok=True)
             self._fp = open(
@@ -153,69 +150,6 @@ class HealthMonitor:
         if self._record_metrics():
             self.registry.inc(f"{self.prefix}.alerts", 1.0, rule=rule)
         return record
-
-    def ingest(self, record: dict) -> None:
-        """Adopt an externally captured alert/health record.
-
-        The worker-telemetry merge routes a child process's alert
-        stream through here: the record lands in ``alerts.jsonl`` and
-        the in-memory mirrors, but the ``health.alerts`` counter is
-        *not* bumped — that increment already travelled as a metric
-        delta and is replayed separately (double counting otherwise).
-        """
-        if record.get("kind") == "alert" and len(self.alerts) < _MAX_RECORDS:
-            self.alerts.append(record)
-        self._write(record)
-
-    def observe_exec(
-        self,
-        label: str,
-        failures: int = 0,
-        crashes: int = 0,
-        quarantined: int = 0,
-        detail: Optional[str] = None,
-    ) -> List[dict]:
-        """Surface parallel-executor pathologies as alerts.
-
-        Called by :meth:`repro.exec.ParallelExecutor.map` after each
-        observed map with that map's terminal counts.  Like the
-        training rules, each rule fires once per pathological stretch:
-        a map under ``label`` with (say) task failures arms the rule,
-        and only a clean map under the same label re-arms it — a sweep
-        retried across twenty maps yields one alert, not twenty.
-        """
-        alerts: List[dict] = []
-        for rule, count, severity, message in (
-            (
-                "exec_task_failures",
-                failures,
-                "error",
-                f"{failures} task(s) failed permanently in map '{label}'",
-            ),
-            (
-                "exec_worker_crashes",
-                crashes,
-                "warning",
-                f"{crashes} worker(s) died during map '{label}'",
-            ),
-            (
-                "exec_quarantine",
-                quarantined,
-                "error",
-                f"{quarantined} poison task(s) quarantined in map '{label}'",
-            ),
-        ):
-            key = f"{rule}:{label}"
-            if count > 0:
-                if not self._exec_active.get(key, False):
-                    self._exec_active[key] = True
-                    fields = {"label": label, "count": count}
-                    if detail:
-                        fields["detail"] = detail
-                    alerts.append(self.alert(rule, message, severity=severity, **fields))
-            else:
-                self._exec_active[key] = False
-        return alerts
 
     # ------------------------------------------------------------------
     def observe_epoch(
@@ -457,27 +391,6 @@ def observe_epoch(kind: str, epoch: int, loss: float, **kwargs) -> List[dict]:
     if _ACTIVE is None:
         return []
     return _ACTIVE.observe_epoch(kind, epoch, loss, **kwargs)
-
-
-def observe_exec(label: str, **counts) -> List[dict]:
-    """Forward executor failure counts to the active monitor (no-op
-    when none is installed)."""
-    if _ACTIVE is None:
-        return []
-    return _ACTIVE.observe_exec(label, **counts)
-
-
-def quiesce_forked() -> None:
-    """Drop a monitor inherited across ``fork`` without closing it.
-
-    An executor worker inherits the parent's monitor — including its
-    open ``alerts.jsonl`` handle, whose file offset is shared with the
-    parent.  The child must simply forget the monitor (worker capture
-    installs its own, memory-backed one); closing it would flush
-    through the shared offset.
-    """
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def gradient_sq_norm(model) -> float:

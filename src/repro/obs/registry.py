@@ -55,20 +55,14 @@ ENV_DISABLE_VAR = "REPRO_RUNS_DISABLE"
 DEFAULT_ROOT = "runs"
 
 #: Artefact files a run directory may contain (the inventory scan).
-#: Entries containing ``*`` are glob patterns — ``worker-<id>.jsonl``
-#: are the per-worker telemetry shards a parallel observed run leaves
-#: beside the merged ``worker_telemetry.jsonl`` stream.
 KNOWN_ARTIFACTS = (
     "events.jsonl",
     "trace.jsonl",
     "metrics.json",
     "drift.jsonl",
-    "faults.jsonl",
     "alerts.jsonl",
     "profile.jsonl",
     "profile_summary.json",
-    "worker_telemetry.jsonl",
-    "worker-*.jsonl",
 )
 
 
@@ -103,31 +97,12 @@ def config_fingerprint(mapping: dict) -> str:
 
 def artifact_inventory(run_dir: str) -> Dict[str, int]:
     """``{artefact filename: size in bytes}`` for known files present."""
-    import fnmatch
-
     inventory: Dict[str, int] = {}
-    patterns = [name for name in KNOWN_ARTIFACTS if "*" in name]
     for name in KNOWN_ARTIFACTS:
-        if "*" in name:
-            continue
-        path = os.path.join(run_dir, name)
         try:
-            inventory[name] = os.path.getsize(path)
+            inventory[name] = os.path.getsize(os.path.join(run_dir, name))
         except OSError:
             continue
-    if patterns:
-        try:
-            entries = sorted(os.listdir(run_dir))
-        except OSError:
-            entries = []
-        for entry in entries:
-            if entry in inventory:
-                continue
-            if any(fnmatch.fnmatch(entry, pattern) for pattern in patterns):
-                try:
-                    inventory[entry] = os.path.getsize(os.path.join(run_dir, entry))
-                except OSError:
-                    continue
     return inventory
 
 
@@ -137,21 +112,7 @@ def _environment_fingerprint() -> dict:
     # imports repro.obs and eager cross-imports would cycle.
     from ..bench import environment_fingerprint
 
-    env = environment_fingerprint()
-    # Record the ambient parallel-executor config (worker count, start
-    # method) so obs diff can flag cross-worker-count comparisons as
-    # informational.  Results are bitwise worker-count-independent, but
-    # traces/telemetry legitimately differ between serial and parallel
-    # runs of the same experiment.
-    try:
-        from ..exec import active_executor_config
-
-        executor = active_executor_config()
-        if executor is not None:
-            env = {**env, "executor": executor}
-    except Exception:
-        pass
-    return env
+    return environment_fingerprint()
 
 
 class RunRegistry:

@@ -7,15 +7,12 @@
 Reads the run's ``trace.jsonl`` (spans), ``metrics.json`` (registry
 snapshot), ``events.jsonl`` (log records), ``drift.jsonl`` (per-layer
 conversion-drift series from :class:`repro.obs.drift.DriftMonitor`),
-``faults.jsonl`` (fault-injection events), ``alerts.jsonl``
-(training-health alerts/heartbeats), ``profile.jsonl`` /
-``profile_summary.json`` (op-level profiler events and their
-``repro.obs.profile/v1`` aggregate) and ``worker_telemetry.jsonl`` (the
-canonical merged worker-telemetry stream from observed parallel maps,
-see :mod:`repro.obs.remote`) — any subset may be missing, in
-which case the report degrades to the available artefacts with an
-explicit warning line per missing file — and renders the span tree
-with durations (errored spans called out with their exception),
+``alerts.jsonl`` (training-health alerts/heartbeats) and
+``profile.jsonl`` / ``profile_summary.json`` (op-level profiler events
+and their ``repro.obs.profile/v1`` aggregate) — any subset may be
+missing, in which case the report degrades to the available artefacts
+with an explicit warning line per missing file — and renders the span
+tree with durations (errored spans called out with their exception),
 counter / gauge / histogram tables, the per-layer conversion-drift
 table and the health-alert section.
 
@@ -44,12 +41,10 @@ class RunData:
     events: List[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     drift: List[dict] = field(default_factory=list)
-    faults: List[dict] = field(default_factory=list)
     alerts: List[dict] = field(default_factory=list)
     health: List[dict] = field(default_factory=list)
     profile: List[dict] = field(default_factory=list)
     profile_summary: dict = field(default_factory=dict)
-    worker_telemetry: List[dict] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
 
 
@@ -95,12 +90,6 @@ def load_run(run_dir: str) -> RunData:
     # is normal and should not alarm.
     if data.warnings and data.warnings[-1].startswith("`drift.jsonl` missing"):
         data.warnings.pop()
-    data.faults = [
-        r for r in _load_jsonl(data, "faults.jsonl", "fault events")
-        if r.get("kind") == "fault"
-    ]
-    if data.warnings and data.warnings[-1].startswith("`faults.jsonl` missing"):
-        data.warnings.pop()
     data.profile = [
         r for r in _load_jsonl(data, "profile.jsonl", "op profile")
         if r.get("kind") == "op"
@@ -120,15 +109,6 @@ def load_run(run_dir: str) -> RunData:
                 f"`profile_summary.json` unreadable ({exc}) — "
                 "profile summary skipped"
             )
-    data.worker_telemetry = _load_jsonl(
-        data, "worker_telemetry.jsonl", "worker telemetry"
-    )
-    # worker_telemetry.jsonl only exists for observed parallel maps;
-    # absence is normal.
-    if data.warnings and data.warnings[-1].startswith(
-        "`worker_telemetry.jsonl` missing"
-    ):
-        data.warnings.pop()
     health_records = _load_jsonl(data, "alerts.jsonl", "health telemetry")
     data.alerts = [r for r in health_records if r.get("kind") == "alert"]
     data.health = [r for r in health_records if r.get("kind") == "health"]
@@ -163,12 +143,10 @@ def run_to_json(data: RunData) -> dict:
         "events": list(data.events),
         "metrics": dict(data.metrics),
         "drift": list(data.drift),
-        "faults": list(data.faults),
         "alerts": list(data.alerts),
         "health": list(data.health),
         "profile": list(data.profile),
         "profile_summary": dict(data.profile_summary),
-        "worker_telemetry": list(data.worker_telemetry),
     }
 
 
@@ -270,112 +248,6 @@ def _render_drift(data: RunData, lines: List[str]) -> None:
             f"{_fmt(worst.get('measured_gap'))} "
             f"(predicted {_fmt(worst.get('predicted_gap'))}, "
             f"relative {_fmt(worst.get('relative_gap'))})"
-        )
-        lines.append("")
-
-
-def _worker_rows(counters: Dict[str, float]) -> List[dict]:
-    """Collect ``exec.worker_*{worker=N}`` counters into per-worker rows."""
-    rows: Dict[int, dict] = {}
-    for field_name in ("worker_tasks", "worker_failures"):
-        prefix = f"exec.{field_name}{{worker="
-        for name, value in counters.items():
-            if not name.startswith(prefix):
-                continue
-            try:
-                worker = int(name[len(prefix):].rstrip("}"))
-            except ValueError:
-                continue
-            rows.setdefault(worker, {})[field_name] = value
-    return [dict(row, worker=worker) for worker, row in sorted(rows.items())]
-
-
-def _render_exec(data: RunData, lines: List[str]) -> None:
-    """The "Parallel execution" section: dispatch/retry/failure counters,
-    scheduling latency histograms, per-worker lanes and the merged
-    worker-telemetry stream — from the ``exec.*`` metric family."""
-    counters = data.metrics.get("counters", {})
-    histograms = data.metrics.get("histograms", {})
-    exec_counters = {k: v for k, v in counters.items() if k.startswith("exec.")}
-    if not exec_counters and not data.worker_telemetry:
-        return
-
-    def count(name: str) -> float:
-        return float(exec_counters.get(name, 0) or 0)
-
-    dispatched = count("exec.tasks_dispatched")
-    completed = count("exec.tasks_completed")
-    lines.append(
-        f"## Parallel execution ({dispatched:g} dispatched, "
-        f"{completed:g} completed)"
-    )
-    lines.append("")
-    summary = [
-        ("maps (serial/parallel)",
-         f"{count('exec.serial_maps'):g}/{count('exec.parallel_maps'):g}"),
-        ("retries", f"{count('exec.tasks_retried'):g}"),
-        ("task errors", f"{count('exec.task_errors'):g}"),
-        ("quarantined", f"{count('exec.tasks_quarantined'):g}"),
-        ("worker crashes", f"{count('exec.worker_crashes'):g}"),
-        ("worker restarts", f"{count('exec.worker_restarts'):g}"),
-        ("backoff total", _format_duration(count("exec.backoff_total_s"))),
-        ("serial downgrades", f"{count('exec.downgrades'):g}"),
-    ]
-    lines.append("| | |")
-    lines.append("| --- | ---: |")
-    for label, cell in summary:
-        lines.append(f"| {label} | {cell} |")
-    lines.append("")
-
-    latency_rows = []
-    for name in ("exec.queue_wait_s", "exec.task_duration_s",
-                 "exec.heartbeat_latency_s"):
-        payload = histograms.get(name)
-        if payload:
-            latency_rows.append((name, payload))
-    if latency_rows:
-        lines.append("| latency | count | mean | p50 | p95 | max |")
-        lines.append("| --- | ---: | ---: | ---: | ---: | ---: |")
-        for name, payload in latency_rows:
-            lines.append(
-                f"| {name[len('exec.'):]} | {payload.get('count', 0)} "
-                f"| {_format_duration(payload.get('mean'))} "
-                f"| {_format_duration(payload.get('p50'))} "
-                f"| {_format_duration(payload.get('p95'))} "
-                f"| {_format_duration(payload.get('max'))} |"
-            )
-        lines.append("")
-
-    worker_rows = _worker_rows(exec_counters)
-    if worker_rows:
-        lines.append("### Worker lanes")
-        lines.append("")
-        lines.append("| worker | tasks | failures |")
-        lines.append("| ---: | ---: | ---: |")
-        for row in worker_rows:
-            lines.append(
-                f"| {row['worker']} | {row.get('worker_tasks', 0) or 0:g} "
-                f"| {row.get('worker_failures', 0) or 0:g} |"
-            )
-        lines.append("")
-
-    if data.worker_telemetry:
-        by_kind: Dict[str, int] = {}
-        tasks = set()
-        for record in data.worker_telemetry:
-            by_kind[record.get("kind", "?")] = (
-                by_kind.get(record.get("kind", "?"), 0) + 1
-            )
-            tasks.add((record.get("map"), record.get("task")))
-        recovered = count("exec.telemetry_tasks_recovered")
-        tail = f", {recovered:g} recovered from shards" if recovered else ""
-        lines.append(
-            f"### Worker telemetry ({len(data.worker_telemetry)} records, "
-            f"{len(tasks)} tasks{tail})"
-        )
-        lines.append("")
-        lines.append(
-            ", ".join(f"{kind}: {n}" for kind, n in sorted(by_kind.items()))
         )
         lines.append("")
 
@@ -520,8 +392,6 @@ def render_report(data: RunData) -> str:
     if data.drift:
         _render_drift(data, lines)
 
-    _render_exec(data, lines)
-
     if data.profile or data.profile_summary:
         _render_profile(data, lines)
 
@@ -542,18 +412,6 @@ def render_report(data: RunData) -> str:
                 f"- [{severity}] `{alert.get('rule', '?')}` — "
                 f"{alert.get('message', '')}"
             )
-        lines.append("")
-
-    if data.faults:
-        lines.append(f"## Fault events ({len(data.faults)})")
-        lines.append("")
-        by_fault: Dict[str, int] = {}
-        for fault in data.faults:
-            name = fault.get("fault", "?")
-            by_fault[name] = by_fault.get(name, 0) + 1
-        lines.append(
-            ", ".join(f"{name}: {count}" for name, count in sorted(by_fault.items()))
-        )
         lines.append("")
 
     log_events = [e for e in data.events if e.get("kind") == "log"]

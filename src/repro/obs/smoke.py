@@ -39,7 +39,7 @@ REQUIRED_SPANS = {"run_pipeline", "calibration", "algorithm1", "conversion", "sn
 
 _ARTEFACTS = (
     "trace.jsonl", "events.jsonl", "metrics.json",
-    "drift.jsonl", "faults.jsonl", "alerts.jsonl",
+    "drift.jsonl", "alerts.jsonl",
     "profile.jsonl", "profile_summary.json",
 )
 

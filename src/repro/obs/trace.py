@@ -115,14 +115,6 @@ def current_span() -> Optional[Span]:
     return _stack[-1] if _stack else None
 
 
-def reset(counter: bool = False) -> None:
-    """Clear the span stack (test isolation after exceptions).
-
-    ``counter=True`` also rewinds the span-id counter — used by worker
-    telemetry capture, where ids inherited across ``fork`` are
-    meaningless (the merge renumbers them deterministically anyway).
-    """
-    global _SPAN_COUNTER
+def reset() -> None:
+    """Clear the span stack (test isolation after exceptions)."""
     _stack.clear()
-    if counter:
-        _SPAN_COUNTER = 0

@@ -414,20 +414,6 @@ class SpikingNetwork(SpikingModule):
     def detach_monitor(self) -> None:
         self._step_monitor = None
 
-    def inject_faults(self, spec, telemetry=None):
-        """Context manager realising a :class:`repro.faults.FaultSpec`
-        on this network (see :func:`repro.faults.inject_faults`).
-
-        Weight and neuron-parameter faults keep the fused engine;
-        transmission faults instance-patch the affected neurons, which
-        the fused path detects and replays per step — the same graceful
-        degradation any per-step probe triggers.  On exit the network is
-        restored bit-for-bit.
-        """
-        from ..faults import inject_faults as _inject
-
-        return _inject(self, spec, telemetry=telemetry)
-
     # ------------------------------------------------------------------
     # Execution-mode plumbing
     # ------------------------------------------------------------------

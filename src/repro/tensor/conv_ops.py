@@ -145,19 +145,24 @@ def conv2d(
     out = out.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    # Data entering the first layer needs no gradient: skip the input
+    # GEMM and col2im scatter there (autograd skips ``None`` grads).
+    needs_dx = x.requires_grad
 
     def bwd(g):
         # g: (N, C_out, out_h, out_w) -> (N*out_h*out_w, C_out)
         g_mat = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
         dw = (g_mat.T @ cols_mat).reshape(c_out, kernel, kernel, c_in)
         dw = dw.transpose(0, 3, 1, 2)
-        # Rebuilt rather than captured: a captured copy would stay alive
-        # once per recorded conv node until backward runs.
-        dcols_mat = g_mat @ _weight_matrix(w_data)
-        dcols = dcols_mat.reshape(n, out_h, out_w, kernel, kernel, c_in)
-        dx = _col2im(dcols, padded_shape, kernel, stride).transpose(0, 3, 1, 2)
-        if padding:
-            dx = dx[:, :, padding:-padding, padding:-padding]
+        dx = None
+        if needs_dx:
+            # Rebuilt rather than captured: a captured copy would stay
+            # alive once per recorded conv node until backward runs.
+            dcols_mat = g_mat @ _weight_matrix(w_data)
+            dcols = dcols_mat.reshape(n, out_h, out_w, kernel, kernel, c_in)
+            dx = _col2im(dcols, padded_shape, kernel, stride).transpose(0, 3, 1, 2)
+            if padding:
+                dx = dx[:, :, padding:-padding, padding:-padding]
         if bias is None:
             return (dx, dw)
         db = g_mat.sum(axis=0)

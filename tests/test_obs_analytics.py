@@ -73,7 +73,7 @@ def tiny_snn(timesteps=2, rng=None):
 
 
 def write_run_dir(
-    base, name, metrics=None, faults=None, alerts=None, spans=None,
+    base, name, metrics=None, alerts=None, spans=None,
     drift=None, events=None,
 ):
     """Materialise a synthetic observed-run directory."""
@@ -82,7 +82,6 @@ def write_run_dir(
     if metrics is not None:
         (run_dir / "metrics.json").write_text(json.dumps(metrics))
     for filename, records in (
-        ("faults.jsonl", faults),
         ("alerts.jsonl", alerts),
         ("trace.jsonl", spans),
         ("drift.jsonl", drift),
@@ -252,7 +251,6 @@ class TestDiff:
         assert metric_direction("gauge:snn.train_loss") == "down"
         assert metric_direction("drift:measured_gap{layer=1}") == "down"
         assert metric_direction("alerts:spike_collapse") == "down"
-        assert metric_direction("fault:stuck_at.events") == "down"
         assert metric_direction("histogram:dnn.epoch_seconds.mean") == "skip"
         assert metric_direction("span:snn_eval.total_s") == "skip"
         assert metric_direction("gauge:training_memory.total_bytes") == "skip"
@@ -303,18 +301,6 @@ class TestDiff:
                     "started_at": 0.0}],
         )
         assert diff_run_dirs(a, b).ok
-
-    def test_new_fault_events_regress(self, tmp_path):
-        a = write_run_dir(tmp_path, "a", metrics=BASE_METRICS)
-        b = write_run_dir(
-            tmp_path, "b", metrics=BASE_METRICS,
-            faults=[{"kind": "fault", "fault": "stuck_at", "layer": 0}] * 3,
-        )
-        diff = diff_run_dirs(a, b)
-        assert not diff.ok
-        (delta,) = diff.regressions
-        assert delta.name == "fault:stuck_at.events"
-        assert delta.note == "added" and delta.candidate == 3.0
 
     def test_new_alerts_regress(self, tmp_path):
         a = write_run_dir(tmp_path, "a", metrics=BASE_METRICS)
@@ -709,7 +695,7 @@ class TestReport:
             tmp_path, "degraded",
             drift=[{"kind": "drift", "snapshot": 0, "layer": 0,
                     "measured_gap": 0.1}],
-            faults=[{"kind": "fault", "fault": "stuck_at", "layer": 2}],
+            alerts=[{"kind": "alert", "rule": "spike_collapse", "layer": 2}],
         )
         # Torn tail on the trace file (killed mid-write).
         with open(os.path.join(run_dir, "trace.jsonl"), "w") as fp:
@@ -717,12 +703,12 @@ class TestReport:
             fp.write('{"kind": "span", "name": "to')
         run = load_run(run_dir)
         assert [s["name"] for s in run.spans] == ["ok"]
-        assert len(run.drift) == 1 and len(run.faults) == 1
+        assert len(run.drift) == 1 and len(run.alerts) == 1
         assert any("metrics.json" in w for w in run.warnings)
         assert any("skipped 1 malformed" in w for w in run.warnings)
         report = render_report(run)
-        assert "## Fault events (1)" in report
-        assert "stuck_at: 1" in report
+        assert "## Health alerts (1)" in report
+        assert "spike_collapse: 1" in report
         # The diff engine consumes the same degraded dir without error.
         diff = diff_run_dirs(run_dir, run_dir)
         assert diff.ok

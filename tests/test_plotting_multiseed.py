@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.experiments import (
     ExperimentConfig,
     ascii_chart,
@@ -77,6 +78,19 @@ class TestSeedSweep:
         assert set(summary) == {"dnn", "conversion", "snn"}
         for stats in summary.values():
             assert stats["min"] <= stats["mean"] <= stats["max"]
+
+    def test_seed_sweep_identical_across_workers(self, tiny_config):
+        serial = seed_sweep(tiny_config, [0, 1], fine_tune=False, workers=1)
+        parallel = seed_sweep(tiny_config, [0, 1], fine_tune=False, workers=2)
+        assert parallel.seeds == serial.seeds
+        assert parallel.dnn == serial.dnn
+        assert parallel.conversion == serial.conversion
+        assert parallel.snn == serial.snn
+
+    def test_parallel_sweep_refused_while_observed(self, tiny_config):
+        with obs.observe():
+            with pytest.raises(ValueError, match="repro.obs is enabled"):
+                seed_sweep(tiny_config, [0, 1], fine_tune=False, workers=2)
 
     def test_rejects_empty_seeds(self):
         config = ExperimentConfig(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -270,3 +271,83 @@ class TestDataLoaderValidation:
     def test_rejects_length_mismatch(self, rng):
         with pytest.raises(ValueError, match="lengths differ"):
             DataLoader(rng.random((4, 3, 8, 8)), np.zeros(3, dtype=int), 2)
+
+
+class TestDelayInterrupts:
+    def test_sigint_deferred_to_block_exit(self):
+        from repro.utils import delay_interrupts
+
+        witness = []
+        with pytest.raises(KeyboardInterrupt):
+            with delay_interrupts():
+                signal.raise_signal(signal.SIGINT)
+                witness.append("survived")  # signal must not fire here
+        assert witness == ["survived"]
+
+    def test_nested_blocks_defer_to_outermost(self):
+        from repro.utils import delay_interrupts
+
+        witness = []
+        with pytest.raises(KeyboardInterrupt):
+            with delay_interrupts():
+                with delay_interrupts():
+                    signal.raise_signal(signal.SIGINT)
+                    witness.append("inner")
+                witness.append("between")  # inner exit re-buffers in outer
+        assert witness == ["inner", "between"]
+
+    def test_no_signal_no_effect(self):
+        from repro.utils import delay_interrupts
+
+        with delay_interrupts():
+            pass
+
+
+class TestKillMidCheckpoint:
+    def test_kill_during_checkpoint_write_leaves_consistent_pair(
+        self, tiny_config, tmp_path, monkeypatch
+    ):
+        """A SIGINT landing inside the checkpoint write must be deferred
+        until the weights archive AND the progress record are both on
+        disk, and the killed run must resume cleanly."""
+        import repro.utils.checkpoint as checkpoint_module
+        from repro.experiments.pipeline import (
+            clear_pipeline_cache,
+            run_pipeline,
+        )
+        from repro.utils import load_checkpoint
+
+        ckdir = str(tmp_path / "ck")
+        original_savez = checkpoint_module.np.savez
+        fired = []
+
+        def interrupting_savez(*args, **kwargs):
+            if not fired:
+                fired.append(True)
+                signal.raise_signal(signal.SIGINT)  # deferred, not raised
+            return original_savez(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint_module.np, "savez", interrupting_savez)
+        clear_pipeline_cache()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(tiny_config, checkpoint_dir=ckdir)
+        monkeypatch.setattr(checkpoint_module.np, "savez", original_savez)
+
+        # Both halves of the pair exist and agree despite the kill.
+        state = json.load(
+            open(os.path.join(ckdir, "pipeline_state.json"))
+        )
+        assert state["completed_epochs"] == 0
+        npz_files = [f for f in os.listdir(ckdir) if f.endswith(".npz")]
+        assert len(npz_files) == 1
+        with np.load(os.path.join(ckdir, npz_files[0])) as archive:
+            assert archive.files  # complete, readable archive
+
+        clear_pipeline_cache()
+        result = run_pipeline(tiny_config, checkpoint_dir=ckdir, resume=True)
+        assert result.snn_accuracy is not None
+        state = json.load(
+            open(os.path.join(ckdir, "pipeline_state.json"))
+        )
+        assert state["completed_epochs"] == state["total_epochs"]
+        clear_pipeline_cache()

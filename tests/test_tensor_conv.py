@@ -142,6 +142,31 @@ class TestConv2d:
         with pytest.raises(ValueError, match="square"):
             conv2d(x, w)
 
+    def test_data_input_skips_input_gradient(self, rng, monkeypatch):
+        from repro.tensor import conv_ops
+
+        calls = []
+        real_col2im = conv_ops._col2im
+
+        def counting_col2im(*args, **kwargs):
+            calls.append(1)
+            return real_col2im(*args, **kwargs)
+
+        monkeypatch.setattr(conv_ops, "_col2im", counting_col2im)
+        x_data = rng.normal(size=(2, 3, 6, 6))
+        w_data = rng.normal(size=(4, 3, 3, 3))
+        upstream = rng.normal(size=(2, 4, 6, 6))
+        grads = {}
+        for needs_grad in (False, True):
+            calls.clear()
+            x = Tensor(x_data.copy(), requires_grad=needs_grad)
+            w = Tensor(w_data.copy(), requires_grad=True)
+            (conv2d(x, w, padding=1) * Tensor(upstream)).sum().backward()
+            assert len(calls) == int(needs_grad)
+            assert (x.grad is not None) == needs_grad
+            grads[needs_grad] = w.grad
+        np.testing.assert_array_equal(grads[False], grads[True])
+
     def test_output_shape_helper(self):
         assert conv2d_output_shape(32, 32, 3, 1, 1) == (32, 32)
         assert conv2d_output_shape(32, 32, 3, 2, 1) == (16, 16)
